@@ -11,7 +11,7 @@ let () =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.iter
     (fun (name, scenario) ->
-      let out = scenario () in
+      let out = scenario ~traced:true in
       let write file lines =
         let oc = open_out (Filename.concat dir file) in
         List.iter

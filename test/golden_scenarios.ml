@@ -13,13 +13,26 @@ module Cost = Euno_sim.Cost
 module Api = Euno_sim.Api
 module Abort = Euno_sim.Abort
 module Trace = Euno_sim.Trace
+module Explore = Euno_sim.Explore
+module Plan = Euno_fault.Plan
 module Json = Euno_stats.Json
 module Kv = Euno_harness.Kv
 
 let seed = 42
 
-(* One scenario = (trace JSONL lines, summary lines), both deterministic. *)
+(* One scenario = (trace JSONL lines, summary lines), both deterministic.
+   A scenario is configured up to its [()] and run by passing [~traced];
+   an untraced run installs no trace sink and returns an empty trace, and
+   its summary must still equal the traced run's. *)
 type output = { trace : string list; summary : string list }
+
+(* Record the machine's trace-event stream as JSON lines, oldest first. *)
+let record_trace m ~traced =
+  let trace = ref [] in
+  if traced then
+    Machine.set_tracer m
+      (Some (fun e -> trace := Json.to_string (Trace.event_to_json e) :: !trace));
+  fun () -> List.rev !trace
 
 let summarize m threads =
   let agg = Machine.aggregate m in
@@ -48,7 +61,7 @@ let summarize m threads =
    small key space with gets/puts/deletes/scans.  Preload happens off the
    record on a frictionless single-thread machine sharing the same world,
    exactly like Runner's load phase. *)
-let tree_scenario kind ~threads ~ops ~key_space () =
+let tree_scenario ?(plan = []) kind ~threads ~ops ~key_space () ~traced =
   let mem = Memory.create () in
   let map = Linemap.create () in
   let alloc = Alloc.create mem map in
@@ -62,9 +75,8 @@ let tree_scenario kind ~threads ~ops ~key_space () =
         kv)
   in
   let m = Machine.create ~threads ~seed ~cost:Cost.default ~mem ~map ~alloc in
-  let trace = ref [] in
-  Machine.set_tracer m
-    (Some (fun e -> trace := Json.to_string (Trace.event_to_json e) :: !trace));
+  if plan <> [] then Machine.set_injector m (Plan.to_injector plan);
+  let trace = record_trace m ~traced in
   Machine.run m (fun _tid ->
       for _ = 1 to ops do
         let key = Api.rand key_space in
@@ -76,12 +88,12 @@ let tree_scenario kind ~threads ~ops ~key_space () =
         else ignore (kv.Kv.scan ~from:key ~count:4);
         Api.op_done ()
       done);
-  { trace = List.rev !trace; summary = summarize m threads }
+  { trace = trace (); summary = summarize m threads }
 
 (* Raw engine exercise without any tree: plain and transactional accesses,
    CAS/FAA, allocation with rollback, an explicit abort, and cross-thread
    conflicts on a deliberately shared line. *)
-let engine_scenario ~threads ~rounds () =
+let engine_scenario ?explore ~threads ~rounds () ~traced =
   let mem = Memory.create () in
   let map = Linemap.create () in
   let alloc = Alloc.create mem map in
@@ -90,9 +102,12 @@ let engine_scenario ~threads ~rounds () =
       (fun () -> Api.alloc ~kind:Linemap.Scratch ~words:16)
   in
   let m = Machine.create ~threads ~seed ~cost:Cost.default ~mem ~map ~alloc in
-  let trace = ref [] in
-  Machine.set_tracer m
-    (Some (fun e -> trace := Json.to_string (Trace.event_to_json e) :: !trace));
+  Option.iter
+    (fun spec ->
+      Machine.set_explorer m
+        (Some (Explore.hook (Explore.create ~seed (Explore.spec_of_string spec)))))
+    explore;
+  let trace = record_trace m ~traced in
   Machine.run m (fun tid ->
       for round = 1 to rounds do
         Api.op_key round;
@@ -113,18 +128,43 @@ let engine_scenario ~threads ~rounds () =
         Api.work 25;
         Api.op_done ()
       done);
-  { trace = List.rev !trace; summary = summarize m threads }
+  { trace = trace (); summary = summarize m threads }
 
-(* Fixture name -> generator.  Keep names filesystem-safe. *)
-let all =
+(* Four of the injector's machine-level faults, in overlapping windows of
+   the HTM-B+Tree scenario's ~100k-cycle run: a spurious storm, one thread
+   descheduled, stalled fallback-lock holders and transactional
+   allocation failures.  Each fires at least once at seed 42. *)
+let fault_plan =
+  let inj fault target from_cycle until_cycle =
+    { Plan.fault; target; window = Plan.window ~from_cycle ~until_cycle }
+  in
+  [
+    inj (Plan.Spurious_burst { extra_per_million = 50_000 }) Plan.All 5_000
+      25_000;
+    inj Plan.Preempt (Plan.Thread 1) 20_000 30_000;
+    inj (Plan.Lock_holder_stall { stall = 1_500 }) Plan.All 5_000 40_000;
+    inj Plan.Alloc_pressure Plan.All 25_000 80_000;
+  ]
+
+(* Fixture name -> generator.  Keep names filesystem-safe.  The first
+   three run the heap scheduler with only a trace sink installed; the
+   last two pin the exploration pick (park overlay, clock bump,
+   explore-park events) and the fault-injection pre-step. *)
+let all : (string * (traced:bool -> output)) list =
   [
     ( "engine_seed42",
-      engine_scenario ~threads:4 ~rounds:40 );
+      engine_scenario ~threads:4 ~rounds:40 () );
     ( "htm_bptree_seed42",
-      tree_scenario Kv.Htm_bptree ~threads:4 ~ops:120 ~key_space:256 );
+      tree_scenario Kv.Htm_bptree ~threads:4 ~ops:120 ~key_space:256 () );
     ( "euno_seed42",
       tree_scenario (Kv.Euno Eunomia.Config.full) ~threads:4 ~ops:120
-        ~key_space:256 );
+        ~key_space:256 () );
+    ( "engine_explore_seed42",
+      engine_scenario ~explore:"walk:per=64,span=32" ~threads:4 ~rounds:40 ()
+    );
+    ( "htm_bptree_faults_seed42",
+      tree_scenario ~plan:fault_plan Kv.Htm_bptree ~threads:4 ~ops:120
+        ~key_space:256 () );
   ]
 
 let trace_file name = name ^ ".trace.jsonl"

@@ -34,7 +34,7 @@ let check_identical name expected actual =
 
 let scenario_case (name, scenario) =
   Alcotest.test_case name `Slow (fun () ->
-      let out = scenario () in
+      let out = scenario ~traced:true in
       let golden file = read_lines (Filename.concat "golden" file) in
       check_identical
         (name ^ " trace")
@@ -49,13 +49,24 @@ let scenario_case (name, scenario) =
    other (no hidden host state, e.g. physical hashing or GC effects). *)
 let rerun_stable () =
   let name, scenario = List.hd Golden_scenarios.all in
-  let a = scenario () in
-  let b = scenario () in
+  let a = scenario ~traced:true in
+  let b = scenario ~traced:true in
   check_identical (name ^ " rerun trace") a.Golden_scenarios.trace
     b.Golden_scenarios.trace;
   check_identical (name ^ " rerun summary") a.Golden_scenarios.summary
     b.Golden_scenarios.summary
 
+(* The same scenario with no trace sink installed must account exactly
+   as the traced run recorded: observation never perturbs the run. *)
+let untraced_case (name, scenario) =
+  Alcotest.test_case (name ^ " untraced") `Slow (fun () ->
+      let golden =
+        read_lines (Filename.concat "golden" (Golden_scenarios.summary_file name))
+      in
+      check_identical (name ^ " untraced summary") golden
+        (scenario ~traced:false).Golden_scenarios.summary)
+
 let suite =
   List.map scenario_case Golden_scenarios.all
+  @ List.map untraced_case Golden_scenarios.all
   @ [ Alcotest.test_case "rerun is bit-stable" `Quick rerun_stable ]
