@@ -330,11 +330,23 @@ let () =
   let quick = Array.exists (( = ) "--quick") Sys.argv in
   let micro_only = Array.exists (( = ) "--micro-only") Sys.argv in
   let figures_only = Array.exists (( = ) "--figures-only") Sys.argv in
+  (* A value-taking flag given as the last argument is a usage error, not
+     an absent flag: silently falling back to the default would write
+     results somewhere the caller did not ask for. *)
   let flag_value name =
+    let n = Array.length Sys.argv in
     let rec find i =
-      if i + 1 >= Array.length Sys.argv then None
-      else if Sys.argv.(i) = name then Some Sys.argv.(i + 1)
-      else find (i + 1)
+      if i >= n then None
+      else if Sys.argv.(i) <> name then find (i + 1)
+      else if i + 1 < n then Some Sys.argv.(i + 1)
+      else begin
+        Printf.eprintf
+          "bench: %s needs a value\n\
+           usage: main.exe [--quick] [--micro-only | --figures-only] [--json \
+           PATH] [--domains N]\n"
+          name;
+        exit 2
+      end
     in
     find 1
   in

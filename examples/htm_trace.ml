@@ -1,6 +1,7 @@
 (* A guided tour of the simulated RTM machine itself: two threads collide
-   on one cache line while a tracer records every transaction event, then
-   the run replays with a different seed to show determinism.
+   on one cache line while a trace ring subscribed to the machine's event
+   stream keeps every transaction event, then the run replays with the
+   same and with a different seed to show determinism.
 
      dune exec examples/htm_trace.exe
 *)
@@ -26,7 +27,7 @@ let run_traced seed =
   let m =
     Machine.create ~threads:2 ~seed ~cost:Cost.default ~mem ~map ~alloc
   in
-  Machine.set_tracer m (Some (Trace.push ring));
+  Machine.subscribe m (Trace.push ring);
   Machine.run m (fun tid ->
       for i = 1 to 3 do
         Api.op_key ((tid * 10) + i);

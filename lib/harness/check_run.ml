@@ -142,7 +142,7 @@ let execute config ~policy =
       ~mem ~map ~alloc
   in
   let expl = Explore.create ~seed:config.seed policy in
-  Machine.set_explorer m (Some (Explore.hook expl));
+  Machine.set_explorer m (Explore.hook expl);
   let r = History.recorder () in
   let mix = mix_of_name config.mix in
   Machine.run m (fun tid ->

@@ -152,8 +152,8 @@ let run kind workload setup =
     invalid_arg "Runner.run: key_space must be a power of two";
   (* Arm the sanitizer before the preload: benign-race registrations
      (Sev.mark_racy) happen while trees are built, and the host registry
-     carries them into the measurement machine, whose event hook is the
-     only one installed.  Disarmed on every exit path so an aborted run
+     carries them into the measurement machine, the only one the checker
+     subscribes to.  Disarmed on every exit path so an aborted run
      cannot leak arming into later (golden-trace) runs. *)
   let san = if setup.sanitize then Some (Euno_san.San.create ()) else None in
   if setup.sanitize then begin
@@ -200,7 +200,7 @@ let run kind workload setup =
   | Some window -> Machine.set_sampling m ~window
   | None -> ());
   (match san with
-  | Some checker -> Machine.set_san_hook m (Some (Euno_san.San.hook checker))
+  | Some checker -> Machine.subscribe m (Euno_san.San.hook checker)
   | None -> ());
   Machine.run m (fun tid ->
       let n =

@@ -447,13 +447,14 @@ let clear_range t addr words =
     Hashtbl.remove t.sync_words a
   done
 
-let hook t (ev : Sev.event) =
+let observe t (ev : Sev.event) =
   t.events <- t.events + 1;
   t.last_clock <- ev.Sev.clock;
   let tid = ev.Sev.tid and clock = ev.Sev.clock in
   ensure_active t tid;
   let ts = t.threads.(tid) in
   match ev.Sev.body with
+  | Sev.Conflict _ | Sev.Injected _ -> () (* filtered by [hook] *)
   | Sev.Plain_read { addr; kind } -> plain_read t tid clock addr kind
   | Sev.Plain_write { addr; kind } -> plain_write t tid clock addr kind
   | Sev.Txn_line_read line -> txn_line t tid ~wrote:false ts.rlines line
@@ -465,7 +466,7 @@ let hook t (ev : Sev.event) =
           ~tid ~clock
           ~detail:(Printf.sprintf "t%d began a transaction inside one" tid);
       ts.in_txn <- true
-  | Sev.Txn_commit ->
+  | Sev.Txn_commit _ ->
       if not ts.in_txn then
         report t ~kind:Txn_unbalanced
           ~subject:(Printf.sprintf "tid %d" tid)
@@ -485,7 +486,7 @@ let hook t (ev : Sev.event) =
         ts.wlines;
       txn_clear t tid;
       ts.vc.(tid) <- ts.vc.(tid) + 1
-  | Sev.Txn_aborted ->
+  | Sev.Txn_aborted _ ->
       txn_clear t tid;
       (* The abort unwinds to the enclosing attempt, abandoning any
          optimistic section opened inside the transaction. *)
@@ -500,7 +501,7 @@ let hook t (ev : Sev.event) =
   | Sev.Unsafe_write addr -> unsafe_access t tid clock addr "write" ~is_write:true
   | Sev.Alloc_done { addr; words } -> clear_range t addr words
   | Sev.Free_done { addr; words } -> clear_range t addr words
-  | Sev.Op_exit ->
+  | Sev.Op_exit _ ->
       leak_check t tid clock "operation exit" ts;
       ts.opt_depth <- 0
   | Sev.Thread_exit { failed = _; aborted } ->
@@ -549,6 +550,13 @@ let hook t (ev : Sev.event) =
       | Sev.Opt_enter -> ts.opt_depth <- ts.opt_depth + 1
       | Sev.Opt_exit ->
           if ts.opt_depth > 0 then ts.opt_depth <- ts.opt_depth - 1)
+
+(* Conflicts and injected faults belong to the trace: the checker neither
+   counts nor analyses them. *)
+let hook t (ev : Sev.event) =
+  match ev.Sev.body with
+  | Sev.Conflict _ | Sev.Injected _ -> ()
+  | _ -> observe t ev
 
 (* ---------- lock-order cycles ---------- *)
 

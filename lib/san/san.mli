@@ -1,8 +1,8 @@
 (** EunoSan: deterministic race / lock-discipline / atomicity checking
     over the simulated machine's semantic-event stream.
 
-    A checker consumes {!Euno_sim.Sev.event}s (install {!hook} with
-    {!Euno_sim.Machine.set_san_hook}) and runs four analyses:
+    A checker consumes {!Euno_sim.Sev.event}s (subscribe {!hook} with
+    {!Euno_sim.Machine.subscribe}) and runs four analyses:
 
     - a FastTrack-style vector-clock data-race detector over plain
       (non-transactional) accesses, with happens-before edges from lock
@@ -60,7 +60,9 @@ val create : ?max_findings:int -> unit -> t
     deduplicated findings past the cap are still counted in [total]. *)
 
 val hook : t -> Euno_sim.Sev.event -> unit
-(** Feed one event; pass [hook t] to {!Euno_sim.Machine.set_san_hook}. *)
+(** Feed one event; pass [hook t] to {!Euno_sim.Machine.subscribe}.
+    Conflict and injected-fault events are trace-only: the checker neither
+    counts nor analyses them. *)
 
 val finish : t -> summary
 (** Run end-of-stream analyses (lock-order cycles) and summarize.  The

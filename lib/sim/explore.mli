@@ -1,9 +1,10 @@
 (** Schedule-exploration policies for EunoCheck.
 
     The default scheduler executes the one canonical min-(clock, tid)
-    interleaving per seed.  An exploration policy perturbs it: after every
-    interpreted effect the machine consults the policy
-    ({!Machine.set_explorer}), which may {e park} the thread that just ran
+    interleaving per seed.  An exploration policy perturbs it: installed
+    with {!Machine.set_explorer}, it becomes the pick function of the
+    machine's scheduler loop, which after every interpreted effect
+    consults the policy.  The policy may {e park} the thread that just ran
     for a number of scheduler picks, letting other ready threads overtake
     it.  Forced context switches at transaction and lock boundaries open
     exactly the windows where fast-path/fallback atomicity bugs hide.
@@ -17,8 +18,8 @@
     (policy, seed) pair names one schedule.  The preemptions it fired
     ({!fired}) replay the identical run under {!Replay}, which is what the
     counterexample shrinker in [Euno_harness.Check_run] relies on.  With
-    no explorer installed the machine never consults this module at all
-    (inert-branch pattern), so golden traces stay byte-identical. *)
+    no explorer installed the loop uses its heap pick and never consults
+    this module, so golden traces stay byte-identical. *)
 
 (** Where in the instruction stream a consultation happens.  Every
     interpreted effect is at least a {!Step}; protocol-relevant effects

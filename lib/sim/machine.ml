@@ -17,9 +17,10 @@
    indexed by line, transaction read/write sets live in the Line_table
    bits plus a per-thread log, buffered stores sit in an epoch-versioned
    table cleared O(1) on abort, the scheduler's pick-min is a lazy binary
-   heap (Sched), and the fault-injection hooks are skipped entirely while
-   no injector is installed.  None of this changes simulated behavior:
-   the determinism suite replays recorded seed-42 traces byte for byte. *)
+   heap (Sched), and every observation and fault hook sits behind one
+   [hooked] bit, so while nothing is installed the access path tests that
+   bit and builds no event.  None of this changes simulated behavior: the
+   determinism suite replays recorded seed-42 traces byte for byte. *)
 
 module Mem = Euno_mem.Memory
 module Lmap = Euno_mem.Linemap
@@ -193,34 +194,26 @@ type t = {
   lt : Line_table.t;
   threads : tstate array;
   sched : Sched.t;
-  mutable current : int;
   mutable owner_socket : int array; (* line -> socket of last writer, -1 *)
   cache_mask : int;
-  mutable tracer : (Trace.event -> unit) option;
+  mutable hooked : bool;
+    (* false until a subscriber, injector, explorer, crash point or
+       sampling window is installed.  The one test on the hot path: while
+       it is false no event is built and no hook below is consulted.
+       While it is true every hook is consulted, and the inert defaults
+       compute the same values as skipping it would. *)
+  mutable probe : Sev.event -> unit; (* subscribers, in subscription order *)
   mutable inject : injector;
-  mutable inj_active : bool;
-    (* false while [inject == no_injector]: every hook is inert, so the
-       access path skips the closure calls entirely *)
-  mutable san : Sev.event -> unit;
-  mutable san_active : bool;
-    (* same inert-branch pattern as the injector: while no sanitizer hook
-       is installed the access path tests one bool and builds no event *)
   mutable explore : tid:int -> point:Explore.point -> int;
-  mutable exp_active : bool;
-    (* inert-branch pattern again: with no exploration policy installed,
-       [run] uses the Sched heap loop untouched and the access path only
-       tests this bool before tagging points, so golden traces stay
-       byte-identical *)
   mutable exp_point : Explore.point;
     (* point kind of the effect currently being interpreted; reset to
        [Step] before each resumption, upgraded by the process functions *)
   mutable sample_window : int; (* 0 = periodic sampling disabled *)
-  mutable next_sample : int; (* next window boundary, simulated cycles *)
+  mutable next_sample : int; (* next window boundary; max_int = never *)
   mutable samples : (int * snapshot) list; (* newest first *)
   mutable crash_at : int;
     (* simulated cycle at which the whole process dies (Crashed is raised
-       from the scheduler); max_int = never, and the check is one integer
-       compare per dispatch, so uncrashed runs are byte-identical *)
+       from the scheduler); max_int = never *)
 }
 
 and snapshot = {
@@ -234,6 +227,8 @@ and snapshot = {
   s_user : int array;
   s_clock : int;
 }
+
+let no_explorer ~tid:_ ~point:_ = 0
 
 let create ~threads ~seed ~cost ~mem ~map ~alloc =
   if threads < 1 || threads > Line_table.max_threads then
@@ -276,16 +271,12 @@ let create ~threads ~seed ~cost ~mem ~map ~alloc =
     lt = Line_table.create ();
     threads = Array.init threads mk;
     sched = Sched.create ~capacity:threads;
-    current = 0;
     owner_socket = Array.make 64 (-1);
     cache_mask = cache_size - 1;
-    tracer = None;
+    hooked = false;
+    probe = ignore;
     inject = no_injector;
-    inj_active = false;
-    san = ignore;
-    san_active = false;
-    explore = (fun ~tid:_ ~point:_ -> 0);
-    exp_active = false;
+    explore = no_explorer;
     exp_point = Explore.Step;
     sample_window = 0;
     next_sample = max_int;
@@ -293,48 +284,37 @@ let create ~threads ~seed ~cost ~mem ~map ~alloc =
     crash_at = max_int;
   }
 
-let set_tracer m tracer = m.tracer <- tracer
+let subscribe m f =
+  let probe = m.probe in
+  m.probe <- (fun e -> probe e; f e);
+  m.hooked <- true
 
 exception Crashed of { at_cycle : int }
 
 let set_crash m ~at_cycle =
   if at_cycle < 0 then invalid_arg "Machine.set_crash: negative cycle";
-  m.crash_at <- at_cycle
+  m.crash_at <- at_cycle;
+  m.hooked <- true
 
 let set_injector m inj =
   m.inject <- inj;
-  m.inj_active <- inj != no_injector
+  m.hooked <- true
 
-let set_san_hook m hook =
-  match hook with
-  | Some f ->
-      m.san <- f;
-      m.san_active <- true
-  | None ->
-      m.san <- ignore;
-      m.san_active <- false
-
-let set_explorer m hook =
-  match hook with
-  | Some f ->
-      m.explore <- f;
-      m.exp_active <- true
-  | None ->
-      m.explore <- (fun ~tid:_ ~point:_ -> 0);
-      m.exp_active <- false
-
-(* Emit a sanitizer event for thread [t].  Callers must test
-   [m.san_active] first so the disabled path allocates nothing. *)
-let[@inline never] san m (t : tstate) body =
-  m.san { Sev.tid = t.tid; clock = t.clock; body }
+let set_explorer m f =
+  m.explore <- f;
+  m.hooked <- true
 
 let set_sampling m ~window =
   if window < 1 then invalid_arg "Machine.set_sampling: window < 1";
   m.sample_window <- window;
   m.next_sample <- window;
-  m.samples <- []
+  m.samples <- [];
+  m.hooked <- true
 
-let trace m e = match m.tracer with Some f -> f e | None -> ()
+(* Deliver an event on thread [t] to the subscribers.  Callers test
+   [m.hooked] first, so an unhooked run builds no event. *)
+let[@inline never] emit m (t : tstate) body =
+  m.probe { Sev.tid = t.tid; clock = t.clock; body }
 
 let n_threads m = Array.length m.threads
 let memory m = m.mem
@@ -345,11 +325,11 @@ let cost m = m.cost
 (* ---------- cache warmth and cycle charging ---------- *)
 
 (* Every cycle charge passes through the skew hook, so a fault plan can
-   slow one core down uniformly (DVFS / thermal throttling).  Without an
-   injector the charge is a single add. *)
+   slow one core down uniformly (DVFS / thermal throttling).  Unhooked,
+   the charge is a single add. *)
 let[@inline] charge m t c =
   let c =
-    if not m.inj_active then c
+    if not m.hooked then c
     else
       match m.inject.inj_skew ~tid:t.tid ~clock:t.clock with
       | 0 -> c
@@ -359,14 +339,14 @@ let[@inline] charge m t c =
 
 (* Injected capacity squeeze overrides the nominal read/write-set limits. *)
 let[@inline] rs_capacity m t =
-  if not m.inj_active then m.c_rs_cap
+  if not m.hooked then m.c_rs_cap
   else
     match m.inject.inj_capacity ~tid:t.tid ~clock:t.clock with
     | Some (rs, _) -> rs
     | None -> m.c_rs_cap
 
 let[@inline] ws_capacity m t =
-  if not m.inj_active then m.c_ws_cap
+  if not m.hooked then m.c_ws_cap
   else
     match m.inject.inj_capacity ~tid:t.tid ~clock:t.clock with
     | Some (_, ws) -> ws
@@ -443,8 +423,7 @@ let abort_txn m (v : tstate) (code : Abort.code) =
       v.cnt.wasted_cycles <-
         v.cnt.wasted_cycles + (v.clock - Txn.start_clock txn) + m.c_abort;
       charge m v m.c_abort;
-      trace m (Trace.Aborted { tid = v.tid; clock = v.clock; code });
-      if m.san_active then san m v Sev.Txn_aborted;
+      if m.hooked then emit m v (Sev.Txn_aborted code);
       v.doom <- Some code
 
 (* Simulated process death: every hardware thread dies at this instant.
@@ -487,9 +466,7 @@ let doom_holder m ~attacker ~victim_tid line =
   in
   let ki = Al.kind_index kind in
   v.cnt.conflict_kinds.(ki) <- v.cnt.conflict_kinds.(ki) + 1;
-  trace m
-    (Trace.Conflict
-       { attacker; victim = victim_tid; line; kind; clock = a.clock });
+  if m.hooked then emit m a (Sev.Conflict { victim = victim_tid; line; kind });
   abort_txn m v (Abort.Conflict cls)
 
 (* The table is granule-indexed; the attacker's concrete [line] is kept for
@@ -510,7 +487,7 @@ let[@inline] doom_readers_of m ~attacker line =
    transactional access.  Returns true if the transaction just died. *)
 let txn_hazards m (t : tstate) (txn : Txn.t) =
   let spur =
-    if m.inj_active then m.c_spur + m.inject.inj_spurious ~tid:t.tid ~clock:t.clock
+    if m.hooked then m.c_spur + m.inject.inj_spurious ~tid:t.tid ~clock:t.clock
     else m.c_spur
   in
   if spur > 0 && Rng.int t.rng 1_000_000 < spur then begin
@@ -532,14 +509,14 @@ let process_read m (t : tstate) addr =
   match t.txn with
   | None ->
       doom_writer_of m ~attacker:t.tid line;
-      if m.san_active then
-        san m t
+      if m.hooked then
+        emit m t
           (Sev.Plain_read { addr; kind = Lmap.kind_of_line m.map line });
       Mem.get m.mem addr
   | Some txn ->
       if txn_hazards m t txn then 0
       else begin
-        if m.san_active then san m t (Sev.Txn_line_read line);
+        if m.hooked then emit m t (Sev.Txn_line_read line);
         match Txn.buffered_value txn addr with
         | Some v -> v
         | None ->
@@ -567,15 +544,15 @@ let process_write m (t : tstate) addr value =
   | None ->
       doom_writer_of m ~attacker:t.tid line;
       doom_readers_of m ~attacker:t.tid line;
-      if m.san_active then
-        san m t
+      if m.hooked then
+        emit m t
           (Sev.Plain_write { addr; kind = Lmap.kind_of_line m.map line });
       Mem.set m.mem addr value;
       publish_write m ~writer:t.tid line
   | Some txn ->
       if txn_hazards m t txn then ()
       else begin
-        if m.san_active then san m t (Sev.Txn_line_write line);
+        if m.hooked then emit m t (Sev.Txn_line_write line);
         doom_writer_of m ~attacker:t.tid line;
         doom_readers_of m ~attacker:t.tid line;
         let g = granule m line in
@@ -627,9 +604,9 @@ let process_cas m (t : tstate) addr expected desired =
   | Some txn ->
       if txn_hazards m t txn then ()
       else begin
-        (if m.san_active then begin
-           san m t (Sev.Txn_line_read line);
-           if success then san m t (Sev.Txn_line_write line)
+        (if m.hooked then begin
+           emit m t (Sev.Txn_line_read line);
+           if success then emit m t (Sev.Txn_line_write line)
          end);
         doom_writer_of m ~attacker:t.tid line;
         let g = granule m line in
@@ -663,33 +640,23 @@ let process_cas m (t : tstate) addr expected desired =
           else Line_table.add_reader m.lt g t.tid
         end
       end);
-  (* Preemption while holding a lock: a successful non-transactional
-     acquisition of a Lock-kind word can be followed by an injected stall,
-     so every other thread sees the lock held for that much longer.  This
-     is the trigger for the fallback-holder lemming storm.  (Inert, and
-     skipped, without an installed injector.) *)
   (* Tag the exploration point: a successful plain CAS is where lock
      handoffs and version bumps become visible, so targeted policies
-     preempt right after it. *)
-  (if m.exp_active && success && t.txn = None then
-     m.exp_point <-
-       (if desired <> 0 && Lmap.kind_of_line m.map line = Lmap.Lock then
-          Explore.Lock_acquire
-        else Explore.Atomic_rmw));
-  (if m.inj_active && success && desired <> 0 && t.txn = None
-      && Lmap.kind_of_line m.map line = Lmap.Lock
-   then
-     let stall = m.inject.inj_lock_stall ~tid:t.tid ~clock:t.clock in
-     if stall > 0 then begin
-       trace m
-         (Trace.Injected
-            {
-              tid = t.tid;
-              clock = t.clock;
-              fault = Printf.sprintf "lock-holder-stall:+%d" stall;
-            });
-       t.clock <- t.clock + stall
-     end);
+     preempt right after it.  Preemption while holding a lock: a
+     successful non-transactional acquisition of a Lock-kind word can be
+     followed by an injected stall, so every other thread sees the lock
+     held for that much longer.  This is the trigger for the
+     fallback-holder lemming storm. *)
+  (if m.hooked && success && t.txn = None then
+     if desired <> 0 && Lmap.kind_of_line m.map line = Lmap.Lock then begin
+       m.exp_point <- Explore.Lock_acquire;
+       let stall = m.inject.inj_lock_stall ~tid:t.tid ~clock:t.clock in
+       if stall > 0 then begin
+         emit m t (Sev.Injected (Printf.sprintf "lock-holder-stall:+%d" stall));
+         t.clock <- t.clock + stall
+       end
+     end
+     else m.exp_point <- Explore.Atomic_rmw);
   success
 
 let process_faa m (t : tstate) addr delta =
@@ -703,9 +670,10 @@ let process_xbegin m (t : tstate) =
   | Some _ -> failwith "Machine: nested transactions are not supported"
   | None -> ());
   charge m t m.c_xbegin;
-  if m.exp_active then m.exp_point <- Explore.Xbegin;
-  trace m (Trace.Xbegin { tid = t.tid; clock = t.clock });
-  if m.san_active then san m t Sev.Txn_begin;
+  if m.hooked then begin
+    m.exp_point <- Explore.Xbegin;
+    emit m t Sev.Txn_begin
+  end;
   Txn.reset t.arena ~start_clock:t.clock;
   t.txn <- Some t.arena
 
@@ -715,7 +683,7 @@ let process_xend m (t : tstate) =
   | None -> failwith "Machine: xend outside a transaction"
   | Some txn ->
       charge m t m.c_xend;
-      if m.exp_active then m.exp_point <- Explore.Xcommit;
+      if m.hooked then m.exp_point <- Explore.Xcommit;
       (* Eager conflict detection guarantees exclusive ownership of the
          write set here, so commit always succeeds. *)
       Txn.iter_writes txn (fun addr value ->
@@ -723,29 +691,23 @@ let process_xend m (t : tstate) =
           publish_write m ~writer:t.tid (Mem.line_of_addr addr));
       List.iter
         (fun (kind, addr, words) ->
-          if m.san_active then san m t (Sev.Free_done { addr; words });
+          if m.hooked then emit m t (Sev.Free_done { addr; words });
           Al.free m.alloc ~kind ~addr ~words)
         (Txn.frees txn);
       release_txn m t txn;
       t.cnt.commits <- t.cnt.commits + 1;
       t.cnt.committed_cycles <-
         t.cnt.committed_cycles + (t.clock - Txn.start_clock txn);
-      trace m
-        (Trace.Commit
-           {
-             tid = t.tid;
-             clock = t.clock;
-             reads = Txn.reads txn;
-             writes = Txn.written txn;
-           });
-      if m.san_active then san m t Sev.Txn_commit;
+      if m.hooked then
+        emit m t
+          (Sev.Txn_commit { reads = Txn.reads txn; writes = Txn.written txn });
       t.txn <- None
 
 let process_alloc m (t : tstate) kind words =
   t.cnt.accesses <- t.cnt.accesses + 1;
   charge m t m.c_miss;
   if
-    m.inj_active
+    m.hooked
     && m.inject.inj_alloc_fail ~tid:t.tid ~clock:t.clock
          ~in_txn:(t.txn <> None)
   then begin
@@ -753,8 +715,7 @@ let process_alloc m (t : tstate) kind words =
        slow path (page fault / syscall) always aborts, like real RTM;
        outside, the failure surfaces as an exception the caller must
        handle. *)
-    trace m
-      (Trace.Injected { tid = t.tid; clock = t.clock; fault = "alloc-pressure" });
+    emit m t (Sev.Injected "alloc-pressure");
     (match t.txn with
     | Some _ -> abort_txn m t Abort.Alloc_fault
     | None -> t.pending_exn <- Some Al.Alloc_failure);
@@ -765,7 +726,7 @@ let process_alloc m (t : tstate) kind words =
     (match t.txn with
     | Some txn -> Txn.record_alloc txn kind addr words
     | None -> ());
-    if m.san_active then san m t (Sev.Alloc_done { addr; words });
+    if m.hooked then emit m t (Sev.Alloc_done { addr; words });
     addr
   end
 
@@ -781,7 +742,7 @@ let process_free m (t : tstate) kind addr words =
   match t.txn with
   | Some txn -> Txn.record_free txn kind addr words
   | None ->
-      if m.san_active then san m t (Sev.Free_done { addr; words });
+      if m.hooked then emit m t (Sev.Free_done { addr; words });
       Al.free m.alloc ~kind ~addr ~words
 
 (* ---------- aggregated counters ---------- *)
@@ -841,8 +802,8 @@ let run m bodies =
     {
       retc =
         (fun () ->
-          if m.san_active then
-            san m t (Sev.Thread_exit { failed = false; aborted = false });
+          if m.hooked then
+            emit m t (Sev.Thread_exit { failed = false; aborted = false });
           t.status <- Done);
       exnc =
         (fun e ->
@@ -852,8 +813,8 @@ let run m bodies =
               rollback_allocs m txn;
               t.txn <- None
           | None -> ());
-          if m.san_active then
-            san m t
+          if m.hooked then
+            emit m t
               (Sev.Thread_exit
                  {
                    failed = true;
@@ -881,7 +842,7 @@ let run m bodies =
           | Eff.Xabort code ->
               Some
                 (fun k ->
-                  if m.exp_active then m.exp_point <- Explore.Xabort;
+                  if m.hooked then m.exp_point <- Explore.Xabort;
                   abort_txn m t (Abort.Explicit code);
                   park k ())
           | Eff.Xtest -> Some (fun k -> park k (t.txn <> None))
@@ -903,10 +864,7 @@ let run m bodies =
               Some
                 (fun k ->
                   t.cnt.ops <- t.cnt.ops + 1;
-                  trace m
-                    (Trace.Op_done
-                       { tid = t.tid; clock = t.clock; key = t.op_key });
-                  if m.san_active then san m t Sev.Op_exit;
+                  if m.hooked then emit m t (Sev.Op_exit t.op_key);
                   t.op_key <- -1;
                   park k ())
           | Eff.Count (i, d) ->
@@ -918,18 +876,18 @@ let run m bodies =
               Some
                 (fun k ->
                   charge m t 1;
-                  if m.san_active then san m t (Sev.Unsafe_read addr);
+                  if m.hooked then emit m t (Sev.Unsafe_read addr);
                   park k (Mem.get m.mem addr))
           | Eff.Untracked_write (addr, v) ->
               Some
                 (fun k ->
                   charge m t 1;
-                  if m.san_active then san m t (Sev.Unsafe_write addr);
+                  if m.hooked then emit m t (Sev.Unsafe_write addr);
                   park k (Mem.set m.mem addr v))
           | Eff.San_note note ->
               Some
                 (fun k ->
-                  if m.san_active then san m t (Sev.Note note);
+                  if m.hooked then emit m t (Sev.Note note);
                   park k ())
           | _ -> None)
     }
@@ -942,20 +900,11 @@ let run m bodies =
       t.pending_exn <- None;
       t.txn <- None)
     m.threads;
-  (* The run queue holds one entry per runnable thread, keyed by the clock
-     it was parked at.  A parked thread's clock can still advance (an
-     attacker charging it the abort penalty), so entries are validated on
-     pop and re-pushed at the thread's current clock when stale — clocks
-     only grow, so a stale (under-estimating) key can never hide the true
-     minimum.  Pop order equals the old O(n)-scan order exactly: smallest
-     clock first, ties to the smallest tid (see Sched). *)
-  Sched.clear m.sched;
-  Array.iter (fun t -> Sched.push m.sched ~clock:0 ~tid:t.tid) m.threads;
+  let runnable t = match t.status with Start _ | Ready _ -> true | _ -> false in
   (* Resume thread [t] exactly once: it runs until its next effect is
-     interpreted and parked (or it finishes).  Shared by the heap loop and
-     the exploration loop. *)
+     interpreted and parked (or it finishes).  Picks only return runnable
+     threads. *)
   let resume_once t =
-    m.current <- t.tid;
     match t.status with
     | Start f ->
         t.status <- Running;
@@ -967,7 +916,7 @@ let run m bodies =
             t.doom <- None;
             (* The first effect after a delivered abort is where the
                retry/fallback path begins — a prime preemption target. *)
-            if m.exp_active then m.exp_point <- Explore.Xabort;
+            if m.hooked then m.exp_point <- Explore.Xabort;
             Effect.Deep.discontinue k (Eff.Txn_abort code)
         | None -> (
             match t.pending_exn with
@@ -977,80 +926,60 @@ let run m bodies =
             | None -> Effect.Deep.continue k v))
     | Running | Done | Failed _ -> assert false
   in
-  let rec loop () =
-    if not (Sched.is_empty m.sched) then begin
+  (* Heap pick.  The run queue holds one entry per runnable thread other
+     than the one just stepped, keyed by the clock it was parked at.  A
+     parked thread's clock can still advance (an attacker charging it the
+     abort penalty), so entries are validated on pop and re-pushed at the
+     thread's current clock when stale — clocks only grow, so a stale
+     (under-estimating) key can never hide the true minimum.  Pop order is
+     smallest clock first, ties to the smallest tid (see Sched).  Thread 0
+     starts out of the heap, as if just stepped: at clock 0 it is the
+     first pick. *)
+  Sched.clear m.sched;
+  Array.iter
+    (fun t -> if t.tid > 0 then Sched.push m.sched ~clock:0 ~tid:t.tid)
+    m.threads;
+  let rec pop () =
+    if Sched.is_empty m.sched then -1
+    else begin
       let packed = Sched.pop m.sched in
       let tid = Sched.tid_of packed in
-      let t = m.threads.(tid) in
-      (match t.status with
-      | Running | Done | Failed _ -> assert false
-      | Start _ | Ready _ -> ());
-      if t.clock <> Sched.clock_of packed then begin
+      let clock = m.threads.(tid).clock in
+      if clock = Sched.clock_of packed then tid
+      else begin
         (* Stale entry: the thread was charged while parked. *)
-        Sched.push m.sched ~clock:t.clock ~tid;
-        loop ()
+        Sched.push m.sched ~clock ~tid;
+        pop ()
       end
-      else dispatch t
     end
-  (* Pre-step checks (sampling, injected preemption) run before every step,
-     whether the thread came off the heap or straight from run-ahead. *)
-  and dispatch t =
-    (* The dispatched thread is the (clock, tid) minimum, so the crash
-       fires exactly when the global minimum clock crosses [crash_at]. *)
-    if t.clock >= m.crash_at then crash m ~at_cycle:t.clock;
-    if m.sample_window > 0 then sample_boundaries m t.clock;
-    (* Injected preemption: the OS descheduled this thread until
-       [resume_at].  A live transaction dies (context switches abort RTM
-       transactions), the clock jumps, and the scheduler re-picks — other
-       threads run right past the stalled one. *)
-    let resume_at =
-      if m.inj_active then m.inject.inj_preempt ~tid:t.tid ~clock:t.clock
-      else 0
-    in
-    if resume_at > t.clock then begin
-      trace m
-        (Trace.Injected
-           {
-             tid = t.tid;
-             clock = t.clock;
-             fault = Printf.sprintf "preempt:until=%d" resume_at;
-           });
-      abort_txn m t Abort.Spurious;
-      t.clock <- max t.clock resume_at;
-      Sched.push m.sched ~clock:t.clock ~tid:t.tid;
-      loop ()
-    end
-    else step t
-  and step t =
-    resume_once t;
-    match t.status with
-    | Start _ | Ready _ ->
-        (* Run-ahead: keep executing this thread while it is still the
-           global minimum, with zero heap traffic.  The comparison against
-           [peek] is exact: the thread itself is not in the heap, tids
-           differ, and a stale peeked key only under-estimates its
-           thread's true key — so [key < peek] proves this thread is the
-           unique (clock, tid) minimum, the same pick the pop path would
-           make.  This collapses the single-threaded case (tree preloads,
-           run_single, the micro-benches) to straight-line execution. *)
-        if
-          Sched.is_empty m.sched
-          || Sched.pack ~clock:t.clock ~tid:t.tid < Sched.peek m.sched
-        then dispatch t
-        else begin
-          Sched.push m.sched ~clock:t.clock ~tid:t.tid;
-          loop ()
-        end
-    | Done | Failed _ -> loop ()
-    | Running -> assert false
   in
-  (* Exploration scheduler: same min-(clock, tid) pick, but over a linear
-     scan (thread counts in explore runs are tiny) with a park overlay.  A
-     policy consultation after every interpreted effect may park the
-     thread for [span] picks; parked threads are skipped until their span
-     drains (one tick per pick of another thread) or until every runnable
-     thread is parked, when the minimum parked thread is force-released so
-     the machine never deadlocks itself.
+  (* Run-ahead: keep stepping the previous thread while it is still the
+     global minimum, with zero heap traffic.  The comparison against
+     [peek] is exact: the thread itself is not in the heap, tids differ,
+     and a stale peeked key only under-estimates its thread's true key —
+     so [key < peek] proves this thread is the unique (clock, tid)
+     minimum, the same pick a push and pop would make.  This collapses the
+     single-threaded case (tree preloads, run_single, the micro-benches)
+     to straight-line execution. *)
+  let heap_pick prev =
+    if not (runnable prev) then pop ()
+    else if
+      Sched.is_empty m.sched
+      || Sched.pack ~clock:prev.clock ~tid:prev.tid < Sched.peek m.sched
+    then prev.tid
+    else begin
+      Sched.push m.sched ~clock:prev.clock ~tid:prev.tid;
+      pop ()
+    end
+  in
+  (* Exploration pick: the same min-(clock, tid) pick over a linear scan
+     (thread counts in explore runs are tiny) with a park overlay.  The
+     policy is consulted about every thread a step resumed that is still
+     runnable, and may park it for [span] picks; parked threads are
+     skipped until their span drains (one tick per pick of another
+     thread) or until every runnable thread is parked, when the minimum
+     parked thread is force-released so the machine never deadlocks
+     itself.  An installed explorer implies [hooked].
 
      Timestamp truthfulness: linearizability checking orders events by
      their recorded clocks, so execution order must never contradict
@@ -1059,84 +988,89 @@ let run m bodies =
      clock of the last executed effect ([now]) keeps recorded intervals
      consistent with execution order.  Under a pure min-clock policy the
      bump is provably a no-op (the picked minimum never decreases), so an
-     inert policy reproduces the heap loop's schedule exactly. *)
-  let explore_loop () =
-    let n = Array.length m.threads in
-    let parked = Array.make n 0 in
-    let now = ref 0 in
-    let runnable t =
-      match t.status with Start _ | Ready _ -> true | _ -> false
-    in
-    let pick_min pred =
-      let b = ref (-1) in
-      for i = 0 to n - 1 do
-        let t = m.threads.(i) in
-        if runnable t && pred i && (!b < 0 || t.clock < m.threads.(!b).clock)
-        then b := i
-      done;
-      !b
-    in
-    let rec pick () =
-      let c =
-        match pick_min (fun i -> parked.(i) = 0) with
-        | -1 ->
-            let p = pick_min (fun i -> parked.(i) > 0) in
-            if p >= 0 then parked.(p) <- 0;
-            p
-        | c -> c
-      in
-      if c >= 0 then begin
-        let t = m.threads.(c) in
-        for i = 0 to n - 1 do
-          if i <> c && parked.(i) > 0 && runnable m.threads.(i) then
-            parked.(i) <- parked.(i) - 1
-        done;
-        if t.clock < !now then t.clock <- !now;
-        now := t.clock;
-        (* Crash parity with [dispatch]. *)
-        if t.clock >= m.crash_at then crash m ~at_cycle:t.clock;
-        if m.sample_window > 0 then sample_boundaries m t.clock;
-        (* Injected-preemption parity with [dispatch]. *)
-        let resume_at =
-          if m.inj_active then m.inject.inj_preempt ~tid:t.tid ~clock:t.clock
-          else 0
-        in
-        if resume_at > t.clock then begin
-          trace m
-            (Trace.Injected
-               {
-                 tid = t.tid;
-                 clock = t.clock;
-                 fault = Printf.sprintf "preempt:until=%d" resume_at;
-               });
-          abort_txn m t Abort.Spurious;
-          t.clock <- max t.clock resume_at
-        end
-        else begin
-          m.exp_point <- Explore.Step;
-          resume_once t;
-          match t.status with
-          | Start _ | Ready _ ->
-              let span = m.explore ~tid:t.tid ~point:m.exp_point in
-              if span > 0 then begin
-                parked.(c) <- span;
-                trace m
-                  (Trace.Injected
-                     {
-                       tid = t.tid;
-                       clock = t.clock;
-                       fault = Printf.sprintf "explore-park:%d" span;
-                     })
-              end
-          | Done | Failed _ -> ()
-          | Running -> assert false
-        end;
-        pick ()
-      end
-    in
-    pick ()
+     inert policy reproduces the heap pick's schedule exactly. *)
+  let n = Array.length m.threads in
+  let parked = Array.make n 0 in
+  let now = ref 0 in
+  let pick_min pred =
+    let b = ref (-1) in
+    for i = 0 to n - 1 do
+      let t = m.threads.(i) in
+      if runnable t && pred i && (!b < 0 || t.clock < m.threads.(!b).clock)
+      then b := i
+    done;
+    !b
   in
-  if m.exp_active then explore_loop () else loop ();
+  let explore_pick prev resumed =
+    (if resumed && runnable prev then
+       let span = m.explore ~tid:prev.tid ~point:m.exp_point in
+       if span > 0 then begin
+         parked.(prev.tid) <- span;
+         emit m prev (Sev.Injected (Printf.sprintf "explore-park:%d" span))
+       end);
+    let c =
+      match pick_min (fun i -> parked.(i) = 0) with
+      | -1 ->
+          let p = pick_min (fun i -> parked.(i) > 0) in
+          if p >= 0 then parked.(p) <- 0;
+          p
+      | c -> c
+    in
+    if c >= 0 then begin
+      for i = 0 to n - 1 do
+        if i <> c && parked.(i) > 0 && runnable m.threads.(i) then
+          parked.(i) <- parked.(i) - 1
+      done;
+      let t = m.threads.(c) in
+      if t.clock < !now then t.clock <- !now;
+      now := t.clock
+    end;
+    c
+  in
+  (* Pre-step, run before every step while anything is hooked.  The heap
+     pick returns the (clock, tid) minimum, so the crash fires exactly
+     when the global minimum clock crosses [crash_at] and samples land on
+     window boundaries.  Injected preemption: the OS descheduled this
+     thread until [resume_at].  A live transaction dies (context switches
+     abort RTM transactions), the clock jumps, and the scheduler re-picks
+     — other threads run right past the stalled one.  Returns whether the
+     thread was preempted. *)
+  let preempted t =
+    if t.clock >= m.crash_at then crash m ~at_cycle:t.clock;
+    sample_boundaries m t.clock;
+    let resume_at = m.inject.inj_preempt ~tid:t.tid ~clock:t.clock in
+    if resume_at > t.clock then begin
+      emit m t (Sev.Injected (Printf.sprintf "preempt:until=%d" resume_at));
+      abort_txn m t Abort.Spurious;
+      t.clock <- max t.clock resume_at;
+      true
+    end
+    else begin
+      m.exp_point <- Explore.Step;
+      false
+    end
+  in
+  (* The one scheduler loop.  Each step picks the next thread (-1 once
+     none is runnable), runs the pre-step if anything is hooked, then
+     resumes the thread.  [prev] is the thread the last step picked
+     (thread 0 before the first) and [resumed] whether it ran or was
+     preempted.  Only the pick differs between the heap and exploration
+     schedulers. *)
+  let exploring = m.explore != no_explorer in
+  let rec loop prev resumed =
+    let tid =
+      if exploring then explore_pick prev resumed else heap_pick prev
+    in
+    if tid >= 0 then begin
+      let t = m.threads.(tid) in
+      if m.hooked && preempted t then loop t false
+      else begin
+        resume_once t;
+        loop t true
+      end
+    end
+  in
+  loop m.threads.(0) false;
   (* Close the series with a final partial-window sample so the tail of the
      run is never silently dropped. *)
   if m.sample_window > 0 then begin

@@ -60,9 +60,23 @@ val run_single :
 (** Run a one-thread machine and return the body's result.  Used for
     preloading trees and for unit tests. *)
 
-val set_tracer : t -> (Trace.event -> unit) option -> unit
-(** Install (or remove) a trace sink; see {!Trace}.  Tracing never affects
-    simulated results. *)
+(** {2 Observation and control}
+
+    Subscribers, the crash point, sampling, the fault injector and the
+    explorer all sit behind one bit.  Until one of them is installed the
+    access path and the scheduler test that bit and nothing else, and no
+    event is built.  Once it is set every hook is consulted, and the
+    inert defaults of the ones not installed compute the same values as
+    skipping them would, so installing one mechanism never changes what
+    another observes. *)
+
+val subscribe : t -> (Sev.event -> unit) -> unit
+(** Deliver every machine event ({!Sev.event}) to [f], after the
+    subscribers already installed.  A run can be traced ([Trace.push])
+    and sanitized ([Euno_san.San.hook]) at once.  Subscribers observe
+    counters and protocol announcements only — they must not (and cannot,
+    through this interface) perturb simulated state.  There is no
+    unsubscribe: a machine is single-shot.  Call before {!run}. *)
 
 exception Crashed of { at_cycle : int }
 (** The whole simulated process died (see {!set_crash}).  Escapes {!run};
@@ -79,9 +93,8 @@ val set_crash : t -> at_cycle:int -> unit
     continuations are dropped without unwinding — no handler or finalizer
     runs, so held advisory/fallback locks and half-applied plain writes
     are abandoned in simulated memory for recovery to deal with.  The
-    default ([max_int]) never fires and costs one integer compare per
-    dispatch, so uncrashed runs are byte-identical.  Call before
-    {!run}. *)
+    default ([max_int]) never fires, so uncrashed runs are
+    byte-identical.  Call before {!run}. *)
 
 (** {2 Fault injection}
 
@@ -124,28 +137,19 @@ val no_injector : injector
 val set_injector : t -> injector -> unit
 (** Install fault hooks.  Call before {!run}. *)
 
-val set_san_hook : t -> (Sev.event -> unit) option -> unit
-(** Install (or remove) a sanitizer event sink; see {!Sev} and
-    [Euno_san].  Gated behind the same inert-branch pattern as the fault
-    injector: with no hook installed the access path tests a single bool
-    and builds no event, so disabled-mode runs stay byte-identical.  The
-    hook observes counters and protocol announcements only — it must not
-    (and cannot, through this interface) perturb simulated state.  Call
-    before {!run}. *)
-
-val set_explorer : t -> (tid:int -> point:Explore.point -> int) option -> unit
-(** Install (or remove) a schedule-exploration policy consultation; see
-    {!Explore}.  While installed, {!run} replaces the heap scheduler with
-    an exploration loop: after every interpreted effect the hook is asked
+val set_explorer : t -> (tid:int -> point:Explore.point -> int) -> unit
+(** Install a schedule-exploration policy consultation; see {!Explore}.
+    {!run}'s scheduler loop then picks threads with an exploration scan
+    instead of the heap: after every interpreted effect the hook is asked
     whether the thread that just ran should be parked for the returned
     number of scheduler picks (0 = keep it schedulable), letting other
     ready threads overtake it.  Parked threads are force-released when
     every runnable thread is parked, so exploration cannot deadlock the
     machine, and an overtaken thread's clock is bumped forward so recorded
-    timestamps never contradict execution order.  With no explorer
-    installed (the default) the machine never consults {!Explore} and runs
-    are byte-identical to builds without it; with [Some
-    (Explore.hook policy)] the run is still fully deterministic — the
+    timestamps never contradict execution order.  Each park is announced
+    as an [Injected "explore-park:<span>"] event.  With no explorer
+    installed (the default) the machine never consults {!Explore}; with
+    [Explore.hook policy] the run is still fully deterministic — the
     schedule is a pure function of (machine seed, policy spec, policy
     seed).  Call before {!run}. *)
 

@@ -1,13 +1,15 @@
-(* Semantic-event vocabulary of the sanitizer (EunoSan).
+(* The machine's event vocabulary.
 
-   The machine already interprets every memory access, atomic, RTM
-   primitive and lock operation; when the sanitizer is armed it forwards
-   each of them — plus protocol announcements performed by the sync
-   libraries via {!Api.san_note} — to an installed hook as one of the
-   events below.  Everything here is inert by default: [enabled] is the
-   single arming flag, announcement call sites test it before building a
-   note, and the machine only consults its hook when one is installed, so
-   a disabled run is byte-identical to a build without the sanitizer. *)
+   The machine interprets every memory access, atomic, RTM primitive and
+   lock operation; while anything is subscribed (Machine.subscribe) it
+   delivers each of them — plus transaction lifecycle points, conflicts,
+   injected faults and protocol announcements performed by the sync
+   libraries via {!Api.san_note} — to its subscribers as one of the events
+   below.  The Trace ring and the EunoSan checkers are two such
+   subscribers.  Everything here is inert by default: [enabled] is the
+   arming flag for announcements, whose call sites test it before building
+   a note, and the machine builds no event while nothing is hooked, so an
+   unobserved run is byte-identical to an observed one. *)
 
 (* Which protocol a lock announcement belongs to.  The id paired with a
    kind is the lock's representative simulated address (for [Slot], the
@@ -40,7 +42,8 @@ type note =
   | Opt_exit (* optimistic read section validated or abandoned *)
 
 (* One machine-level event.  [tid]/[clock] are of the thread the event
-   happened on (for aborts: the victim, at the instant it was doomed). *)
+   happened on (for aborts: the victim, at the instant it was doomed; for
+   conflicts: the attacker, at its coherence request). *)
 type event = { tid : int; clock : int; body : body }
 
 and body =
@@ -49,13 +52,16 @@ and body =
   | Txn_line_read of int (* line id entering the live read set *)
   | Txn_line_write of int (* line id entering the live write set *)
   | Txn_begin
-  | Txn_commit
-  | Txn_aborted
+  | Txn_commit of { reads : int; writes : int } (* read/write-set sizes *)
+  | Txn_aborted of Abort.code
+  | Conflict of { victim : int; line : int; kind : Euno_mem.Linemap.kind }
+      (* the attacker dooms [victim]'s transaction on [line] *)
+  | Injected of string (* a fault-injection or exploration action fired *)
   | Unsafe_read of int (* untracked access: addr, no coherence *)
   | Unsafe_write of int
   | Alloc_done of { addr : int; words : int }
   | Free_done of { addr : int; words : int }
-  | Op_exit (* one benchmark operation retired (Op_done) *)
+  | Op_exit of int (* one benchmark operation retired (Op_done): its key *)
   | Thread_exit of { failed : bool; aborted : bool }
       (* [aborted]: the thread died with an uncaught {!Eff.Txn_abort} —
          an abort escaped the Htm wrappers *)

@@ -1,16 +1,18 @@
-(** Semantic-event vocabulary of the sanitizer (EunoSan).
+(** The machine's event vocabulary.
 
-    When armed ({!armed}), the machine forwards every memory access,
-    transaction event, lock announcement and thread lifecycle point to an
-    installed hook ({!Machine.set_san_hook}) as one of these events; the
-    checkers in [Euno_san] consume the stream.  With the sanitizer
-    disabled nothing here is consulted on the access path — disabled-mode
-    runs are byte-identical to a build without it.
+    While anything is subscribed ({!Machine.subscribe}), the machine
+    delivers every memory access, transaction lifecycle point, conflict,
+    injected fault, lock announcement and thread lifecycle point to its
+    subscribers as one of these events.  The {!Trace} ring keeps the
+    lifecycle events; the checkers in [Euno_san] consume the rest.  With
+    nothing hooked the machine builds no event — unobserved runs are
+    byte-identical to observed ones.  Lock announcements are additionally
+    gated by {!armed}.
 
     {b Determinism:} events are emitted synchronously from the machine's
     single-threaded interpreter in execution order, so for a fixed seed
-    the event stream — and therefore every sanitizer verdict — is
-    bit-for-bit reproducible. *)
+    the event stream — and therefore every sanitizer verdict and trace
+    line — is bit-for-bit reproducible. *)
 
 (** Protocol family of a lock announcement; paired with a representative
     simulated address, [(kind, id)] identifies one lock uniquely. *)
@@ -37,6 +39,9 @@ type note =
   | Opt_enter  (** optimistic read section begins *)
   | Opt_exit  (** optimistic read section validated or abandoned *)
 
+(** One event.  [tid] and [clock] are of the thread it happened on: for
+    an abort the victim, at the instant it was doomed; for a conflict the
+    attacker, at its coherence request. *)
 type event = { tid : int; clock : int; body : body }
 
 and body =
@@ -45,13 +50,18 @@ and body =
   | Txn_line_read of int  (** line id entering the live read set *)
   | Txn_line_write of int  (** line id entering the live write set *)
   | Txn_begin
-  | Txn_commit
-  | Txn_aborted
+  | Txn_commit of { reads : int; writes : int }
+      (** read- and write-set sizes at commit *)
+  | Txn_aborted of Abort.code
+  | Conflict of { victim : int; line : int; kind : Euno_mem.Linemap.kind }
+      (** the attacker dooms [victim]'s transaction on [line] *)
+  | Injected of string
+      (** a fault-injection action or an exploration park fired *)
   | Unsafe_read of int  (** untracked access (addr): bypasses coherence *)
   | Unsafe_write of int
   | Alloc_done of { addr : int; words : int }
   | Free_done of { addr : int; words : int }
-  | Op_exit  (** one benchmark operation retired *)
+  | Op_exit of int  (** one benchmark operation retired: its key *)
   | Thread_exit of { failed : bool; aborted : bool }
       (** [aborted]: the thread died with an uncaught [Txn_abort] *)
   | Note of note

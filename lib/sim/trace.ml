@@ -1,45 +1,39 @@
-(* Event tracing for the simulated machine: a bounded ring of transaction
-   lifecycle events (begin / commit / abort / conflict / completed op)
-   that answers the debugging question an HTM simulator always gets asked:
-   "why did this transaction abort?".
+(* Event tracing for the simulated machine: a bounded ring of the
+   transaction lifecycle events of the machine's event stream (begin /
+   commit / abort / conflict / completed op / injected fault) that answers
+   the debugging question an HTM simulator always gets asked: "why did
+   this transaction abort?".
 
-   Install with Machine.set_tracer; the hooks fire only at transaction
-   boundaries and conflicts, never on individual accesses, so tracing has
-   negligible host cost and zero effect on simulated results. *)
+   Subscribe [push ring] with Machine.subscribe.  The ring keeps only the
+   six lifecycle bodies and drops per-access and protocol events, so
+   tracing has zero effect on simulated results. *)
 
-type event =
-  | Xbegin of { tid : int; clock : int }
-  | Commit of { tid : int; clock : int; reads : int; writes : int }
-  | Aborted of { tid : int; clock : int; code : Abort.code }
-  | Conflict of {
-      attacker : int;
-      victim : int;
-      line : int;
-      kind : Euno_mem.Linemap.kind;
-      clock : int; (* attacker's clock at the coherence request *)
-    }
-  | Op_done of { tid : int; clock : int; key : int }
-  | Injected of { tid : int; clock : int; fault : string }
-    (* a fault-injection action fired on this thread (see Machine.injector) *)
+module Linemap = Euno_mem.Linemap
 
-let event_to_string = function
-  | Xbegin { tid; clock } -> Printf.sprintf "[%10d] t%-2d xbegin" clock tid
-  | Commit { tid; clock; reads; writes } ->
-      Printf.sprintf "[%10d] t%-2d commit (rs=%d ws=%d)" clock tid reads writes
-  | Aborted { tid; clock; code } ->
-      Printf.sprintf "[%10d] t%-2d ABORT %s" clock tid (Abort.to_string code)
-  | Conflict { attacker; victim; line; kind; clock } ->
-      Printf.sprintf "[%10d] t%-2d dooms t%-2d on line %d (%s)" clock attacker
-        victim line
-        (Euno_mem.Linemap.kind_to_string kind)
-  | Op_done { tid; clock; key } ->
-      Printf.sprintf "[%10d] t%-2d op done (key %d)" clock tid key
-  | Injected { tid; clock; fault } ->
-      Printf.sprintf "[%10d] t%-2d FAULT %s" clock tid fault
+let lifecycle (e : Sev.event) =
+  match e.body with
+  | Sev.Txn_begin | Sev.Txn_commit _ | Sev.Txn_aborted _ | Sev.Conflict _
+  | Sev.Op_exit _ | Sev.Injected _ ->
+      true
+  | _ -> false
 
-(* Bounded ring buffer of the most recent events. *)
+let not_lifecycle fn = invalid_arg ("Trace." ^ fn ^ ": not a lifecycle event")
+
+let event_to_string ({ tid; clock; body } : Sev.event) =
+  let row fmt = Printf.sprintf ("[%10d] t%-2d " ^^ fmt) clock tid in
+  match body with
+  | Sev.Txn_begin -> row "xbegin"
+  | Sev.Txn_commit { reads; writes } -> row "commit (rs=%d ws=%d)" reads writes
+  | Sev.Txn_aborted code -> row "ABORT %s" (Abort.to_string code)
+  | Sev.Conflict { victim; line; kind } ->
+      row "dooms t%-2d on line %d (%s)" victim line (Linemap.kind_to_string kind)
+  | Sev.Op_exit key -> row "op done (key %d)" key
+  | Sev.Injected fault -> row "FAULT %s" fault
+  | _ -> not_lifecycle "event_to_string"
+
+(* Bounded ring buffer of the most recent lifecycle events. *)
 type ring = {
-  buf : event option array;
+  buf : Sev.event option array;
   mutable next : int;
   mutable total : int;
 }
@@ -49,9 +43,11 @@ let ring ~capacity =
   { buf = Array.make capacity None; next = 0; total = 0 }
 
 let push r e =
-  r.buf.(r.next) <- Some e;
-  r.next <- (r.next + 1) mod Array.length r.buf;
-  r.total <- r.total + 1
+  if lifecycle e then begin
+    r.buf.(r.next) <- Some e;
+    r.next <- (r.next + 1) mod Array.length r.buf;
+    r.total <- r.total + 1
+  end
 
 let total r = r.total
 
@@ -72,54 +68,37 @@ let to_strings r = List.map event_to_string (events r)
 
 module Json = Euno_stats.Json
 
-let event_to_json = function
-  | Xbegin { tid; clock } ->
-      Json.Obj
-        [ ("ev", Json.Str "xbegin"); ("tid", Json.Int tid); ("clock", Json.Int clock) ]
-  | Commit { tid; clock; reads; writes } ->
-      Json.Obj
+let event_to_json ({ tid; clock; body } : Sev.event) =
+  let ev name fields =
+    Json.Obj
+      (("ev", Json.Str name) :: ("tid", Json.Int tid)
+      :: ("clock", Json.Int clock) :: fields)
+  in
+  match body with
+  | Sev.Txn_begin -> ev "xbegin" []
+  | Sev.Txn_commit { reads; writes } ->
+      ev "commit" [ ("reads", Json.Int reads); ("writes", Json.Int writes) ]
+  | Sev.Txn_aborted code ->
+      ev "abort"
         [
-          ("ev", Json.Str "commit");
-          ("tid", Json.Int tid);
-          ("clock", Json.Int clock);
-          ("reads", Json.Int reads);
-          ("writes", Json.Int writes);
-        ]
-  | Aborted { tid; clock; code } ->
-      Json.Obj
-        [
-          ("ev", Json.Str "abort");
-          ("tid", Json.Int tid);
-          ("clock", Json.Int clock);
           ("class", Json.Str (Abort.class_name (Abort.index code)));
           ("code", Json.Str (Abort.to_string code));
         ]
-  | Conflict { attacker; victim; line; kind; clock } ->
+  | Sev.Conflict { victim; line; kind } ->
+      (* attacker first and clock last: the layout the golden fixtures
+         record *)
       Json.Obj
         [
           ("ev", Json.Str "conflict");
-          ("attacker", Json.Int attacker);
+          ("attacker", Json.Int tid);
           ("victim", Json.Int victim);
           ("line", Json.Int line);
-          ("kind", Json.Str (Euno_mem.Linemap.kind_to_string kind));
+          ("kind", Json.Str (Linemap.kind_to_string kind));
           ("clock", Json.Int clock);
         ]
-  | Op_done { tid; clock; key } ->
-      Json.Obj
-        [
-          ("ev", Json.Str "op_done");
-          ("tid", Json.Int tid);
-          ("clock", Json.Int clock);
-          ("key", Json.Int key);
-        ]
-  | Injected { tid; clock; fault } ->
-      Json.Obj
-        [
-          ("ev", Json.Str "injected");
-          ("tid", Json.Int tid);
-          ("clock", Json.Int clock);
-          ("fault", Json.Str fault);
-        ]
+  | Sev.Op_exit key -> ev "op_done" [ ("key", Json.Int key) ]
+  | Sev.Injected fault -> ev "injected" [ ("fault", Json.Str fault) ]
+  | _ -> not_lifecycle "event_to_json"
 
 (* One compact JSON document per retained event, oldest first: cat-able
    into any JSONL pipeline. *)
@@ -162,41 +141,34 @@ let chrome_trace r =
           (common ~name ~ph:"X" ~tid ~ts:start
              [ ("dur", Json.Int (max 1 (clock - start))); ("args", args) ])
   in
+  let instant ~name ~tid ~ts args =
+    emit
+      (common ~name ~ph:"i" ~tid ~ts
+         [ ("s", Json.Str "t"); ("args", Json.Obj args) ])
+  in
   List.iter
-    (fun ev ->
-      match ev with
-      | Xbegin { tid; clock } -> Hashtbl.replace open_tx tid clock
-      | Commit { tid; clock; reads; writes } ->
+    (fun ({ tid; clock; body } : Sev.event) ->
+      match body with
+      | Sev.Txn_begin -> Hashtbl.replace open_tx tid clock
+      | Sev.Txn_commit { reads; writes } ->
           close_tx tid clock ~name:"txn:commit"
             (Json.Obj [ ("reads", Json.Int reads); ("writes", Json.Int writes) ])
-      | Aborted { tid; clock; code } ->
+      | Sev.Txn_aborted code ->
           close_tx tid clock ~name:"txn:abort"
             (Json.Obj
                [ ("class", Json.Str (Abort.class_name (Abort.index code))) ])
-      | Conflict { attacker; victim; line; kind; clock } ->
-          emit
-            (common ~name:"conflict" ~ph:"i" ~tid:attacker ~ts:clock
-               [
-                 ("s", Json.Str "t");
-                 ( "args",
-                   Json.Obj
-                     [
-                       ("victim", Json.Int victim);
-                       ("line", Json.Int line);
-                       ("kind", Json.Str (Euno_mem.Linemap.kind_to_string kind));
-                     ] );
-               ])
-      | Op_done { tid; clock; key } ->
-          emit
-            (common ~name:"op" ~ph:"i" ~tid ~ts:clock
-               [ ("s", Json.Str "t"); ("args", Json.Obj [ ("key", Json.Int key) ]) ])
-      | Injected { tid; clock; fault } ->
-          emit
-            (common ~name:"fault" ~ph:"i" ~tid ~ts:clock
-               [
-                 ("s", Json.Str "t");
-                 ("args", Json.Obj [ ("fault", Json.Str fault) ]);
-               ]))
+      | Sev.Conflict { victim; line; kind } ->
+          instant ~name:"conflict" ~tid ~ts:clock
+            [
+              ("victim", Json.Int victim);
+              ("line", Json.Int line);
+              ("kind", Json.Str (Linemap.kind_to_string kind));
+            ]
+      | Sev.Op_exit key ->
+          instant ~name:"op" ~tid ~ts:clock [ ("key", Json.Int key) ]
+      | Sev.Injected fault ->
+          instant ~name:"fault" ~tid ~ts:clock [ ("fault", Json.Str fault) ]
+      | _ -> ())
     (events r);
   Json.Obj
     [
@@ -204,14 +176,11 @@ let chrome_trace r =
       ("displayTimeUnit", Json.Str "ns");
     ]
 
-(* Events selected by thread, oldest first. *)
+(* Events selected by thread (as owner, attacker or victim), oldest
+   first. *)
 let for_thread r tid =
   List.filter
-    (function
-      | Xbegin e -> e.tid = tid
-      | Commit e -> e.tid = tid
-      | Aborted e -> e.tid = tid
-      | Conflict e -> e.attacker = tid || e.victim = tid
-      | Op_done e -> e.tid = tid
-      | Injected e -> e.tid = tid)
+    (fun (e : Sev.event) ->
+      e.tid = tid
+      || match e.body with Sev.Conflict c -> c.victim = tid | _ -> false)
     (events r)

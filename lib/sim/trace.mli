@@ -1,57 +1,51 @@
 (** Event tracing for the simulated machine.
 
-    A bounded ring of transaction lifecycle events (begin, commit, abort,
-    conflict, completed operation), installed with
-    {!Machine.set_tracer}.  Hooks fire only at transaction boundaries and
-    conflicts, so tracing never perturbs simulated results.
+    A bounded ring of the transaction lifecycle events of the machine's
+    {!Sev} stream (begin, commit, abort, conflict, completed operation,
+    injected fault).  Subscribe {!push} with {!Machine.subscribe}; the ring
+    drops every other event, and tracing never perturbs simulated results.
 
-    {b Complexity:} with no tracer installed the machine pays one branch
-    per traceable event; the ring stores events in a fixed circular buffer
-    (O(1) per event, oldest overwritten).
+    {b Complexity:} with nothing subscribed the machine tests one bit per
+    emission site and builds no event; the ring stores events in a fixed
+    circular buffer (O(1) per event, oldest overwritten).
 
     {b Determinism:} events carry simulated clocks and tids only.  The
     recorded seed-42 streams in [test/golden/] are compared byte-for-byte
     against {!event_to_json} output by the determinism suite, which is how
     engine refactors prove they preserved behavior. *)
 
-type event =
-  | Xbegin of { tid : int; clock : int }
-  | Commit of { tid : int; clock : int; reads : int; writes : int }
-  | Aborted of { tid : int; clock : int; code : Abort.code }
-  | Conflict of {
-      attacker : int;
-      victim : int;
-      line : int;
-      kind : Euno_mem.Linemap.kind;
-      clock : int;
-    }
-  | Op_done of { tid : int; clock : int; key : int }
-  | Injected of { tid : int; clock : int; fault : string }
-      (** a fault-injection action fired on this thread *)
+val lifecycle : Sev.event -> bool
+(** True for the six bodies the ring keeps: [Txn_begin], [Txn_commit],
+    [Txn_aborted], [Conflict], [Op_exit] and [Injected]. *)
 
-val event_to_string : event -> string
+val event_to_string : Sev.event -> string
+(** One human-readable line.  Raises [Invalid_argument] unless
+    {!lifecycle}. *)
 
 type ring
 
 val ring : capacity:int -> ring
-(** Retains the most recent [capacity] events. *)
+(** Retains the most recent [capacity] lifecycle events. *)
 
-val push : ring -> event -> unit
+val push : ring -> Sev.event -> unit
+(** Keep the event if {!lifecycle}; ignore it otherwise. *)
 
 val total : ring -> int
-(** Events ever pushed (including evicted ones). *)
+(** Lifecycle events ever pushed (including evicted ones). *)
 
-val events : ring -> event list
+val events : ring -> Sev.event list
 (** Retained events, oldest first. *)
 
 val to_strings : ring -> string list
 
-val for_thread : ring -> int -> event list
+val for_thread : ring -> int -> Sev.event list
 (** Retained events involving one thread (as owner, attacker or victim). *)
 
 (** {2 Machine-readable exports} *)
 
-val event_to_json : event -> Euno_stats.Json.t
+val event_to_json : Sev.event -> Euno_stats.Json.t
+(** One JSON object with an ["ev"] tag.  Raises [Invalid_argument] unless
+    {!lifecycle}. *)
 
 val to_jsonl : ring -> string list
 (** One compact JSON document per retained event, oldest first. *)

@@ -30,8 +30,9 @@ type output = { trace : string list; summary : string list }
 let record_trace m ~traced =
   let trace = ref [] in
   if traced then
-    Machine.set_tracer m
-      (Some (fun e -> trace := Json.to_string (Trace.event_to_json e) :: !trace));
+    Machine.subscribe m (fun e ->
+        if Trace.lifecycle e then
+          trace := Json.to_string (Trace.event_to_json e) :: !trace);
   fun () -> List.rev !trace
 
 let summarize m threads =
@@ -105,7 +106,7 @@ let engine_scenario ?explore ~threads ~rounds () ~traced =
   Option.iter
     (fun spec ->
       Machine.set_explorer m
-        (Some (Explore.hook (Explore.create ~seed (Explore.spec_of_string spec)))))
+        (Explore.hook (Explore.create ~seed (Explore.spec_of_string spec))))
     explore;
   let trace = record_trace m ~traced in
   Machine.run m (fun tid ->

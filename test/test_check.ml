@@ -62,10 +62,11 @@ let traced_tree_run ?policy ~seed () =
   (match policy with
   | None -> ()
   | Some spec ->
-      Machine.set_explorer m (Some (Explore.hook (Explore.create ~seed spec))));
+      Machine.set_explorer m (Explore.hook (Explore.create ~seed spec)));
   let trace = ref [] in
-  Machine.set_tracer m
-    (Some (fun e -> trace := Json.to_string (Trace.event_to_json e) :: !trace));
+  Machine.subscribe m (fun e ->
+      if Trace.lifecycle e then
+        trace := Json.to_string (Trace.event_to_json e) :: !trace);
   Machine.run m (fun _tid ->
       for _ = 1 to 20 do
         let k = Api.rand 32 in
@@ -107,9 +108,9 @@ let disjoint_trace ?explorer ~seed () =
   in
   (match explorer with
   | None -> ()
-  | Some e -> Machine.set_explorer m (Some (Explore.hook e)));
+  | Some e -> Machine.set_explorer m (Explore.hook e));
   let trace = ref [] in
-  Machine.set_tracer m (Some (fun e -> trace := e :: !trace));
+  Machine.subscribe m (fun e -> if Trace.lifecycle e then trace := e :: !trace);
   Machine.run m (fun tid ->
       let mine = base + (tid * 16) in
       for round = 1 to 10 do
@@ -130,15 +131,17 @@ let disjoint_trace ?explorer ~seed () =
 (* Clock-insensitive per-event tag: exploration legitimately shifts
    clocks (a parked thread is bumped forward on resume), but never what a
    thread does. *)
-let tag = function
-  | Trace.Xbegin { tid; _ } -> (tid, "xbegin")
-  | Trace.Commit { tid; reads; writes; _ } ->
+let tag ({ tid; body; _ } : Sev.event) =
+  match body with
+  | Sev.Txn_begin -> (tid, "xbegin")
+  | Sev.Txn_commit { reads; writes } ->
       (tid, Printf.sprintf "commit:%d:%d" reads writes)
-  | Trace.Aborted { tid; _ } -> (tid, "abort")
-  | Trace.Conflict { attacker; victim; line; _ } ->
-      (attacker, Printf.sprintf "conflict:%d:%d" victim line)
-  | Trace.Op_done { tid; key; _ } -> (tid, Printf.sprintf "op:%d" key)
-  | Trace.Injected { tid; fault; _ } -> (tid, "inj:" ^ fault)
+  | Sev.Txn_aborted _ -> (tid, "abort")
+  | Sev.Conflict { victim; line; _ } ->
+      (tid, Printf.sprintf "conflict:%d:%d" victim line)
+  | Sev.Op_exit key -> (tid, Printf.sprintf "op:%d" key)
+  | Sev.Injected fault -> (tid, "inj:" ^ fault)
+  | _ -> (tid, "other")
 
 let project tid evs =
   List.filter_map
@@ -176,11 +179,11 @@ let sev_stream spec ~seed =
     Machine.create ~threads:4 ~seed ~cost:Cost.default ~mem:w.mem ~map:w.map
       ~alloc:w.alloc
   in
-  Machine.set_explorer m (Some (Explore.hook (Explore.create ~seed spec)));
+  Machine.set_explorer m (Explore.hook (Explore.create ~seed spec));
   let evs = ref [] in
   Sev.set_armed true;
   Fun.protect ~finally:(fun () -> Sev.set_armed false) @@ fun () ->
-  Machine.set_san_hook m (Some (fun e -> evs := e :: !evs));
+  Machine.subscribe m (fun e -> evs := e :: !evs);
   Machine.run m (fun tid ->
       for i = 1 to 8 do
         let k = (tid + i) mod 12 in

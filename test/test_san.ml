@@ -9,6 +9,7 @@ module Htm = Euno_htm.Htm
 module Kv = Euno_harness.Kv
 module Runner = Euno_harness.Runner
 module Linemap = Euno_mem.Linemap
+module Trace = Euno_sim.Trace
 
 (* ---------- synthetic event streams ---------- *)
 
@@ -91,10 +92,10 @@ let test_commit_edge_suppresses () =
   feed c 0 1 (wr 100);
   feed c 0 2 Sev.Txn_begin;
   feed c 0 3 (Sev.Txn_line_write 5);
-  feed c 0 4 Sev.Txn_commit;
+  feed c 0 4 (Sev.Txn_commit { reads = 1; writes = 1 });
   feed c 1 5 Sev.Txn_begin;
   feed c 1 6 (Sev.Txn_line_read 5);
-  feed c 1 7 Sev.Txn_commit;
+  feed c 1 7 (Sev.Txn_commit { reads = 1; writes = 0 });
   feed c 1 8 (wr 100);
   check_clean "commit-ordered accesses" (San.finish c)
 
@@ -144,7 +145,7 @@ let test_alloc_clears_history () =
 let test_lock_leak_at_op_exit () =
   let c = San.create () in
   feed c 0 1 (Sev.Note (Sev.Acquire (Sev.Spin, 7)));
-  feed c 0 2 Sev.Op_exit;
+  feed c 0 2 (Sev.Op_exit 0);
   check_bool "leak flagged" true (has San.Lock_leak (San.finish c))
 
 let test_lock_leak_at_thread_exit () =
@@ -220,7 +221,7 @@ let test_atomicity_violation () =
   let c = San.create () in
   feed c 0 1 Sev.Txn_begin;
   feed c 0 2 (Sev.Txn_line_write line);
-  feed c 0 3 Sev.Txn_commit;
+  feed c 0 3 (Sev.Txn_commit { reads = 1; writes = 1 });
   feed c 1 4 (Sev.Unsafe_write addr);
   check_clean "footprint retired at commit" (San.finish c)
 
@@ -231,7 +232,7 @@ let test_txn_unbalanced () =
   check_bool "nested begin flagged" true
     (has San.Txn_unbalanced (San.finish c));
   let c = San.create () in
-  feed c 0 1 Sev.Txn_commit;
+  feed c 0 1 (Sev.Txn_commit { reads = 0; writes = 0 });
   check_bool "commit without begin flagged" true
     (has San.Txn_unbalanced (San.finish c));
   let c = San.create () in
@@ -242,13 +243,13 @@ let test_txn_unbalanced () =
 
 let test_escaped_abort () =
   let c = San.create () in
-  feed c 0 1 Sev.Txn_aborted;
+  feed c 0 1 (Sev.Txn_aborted Euno_sim.Abort.Spurious);
   check_bool "abort outside attempt flagged" true
     (has San.Escaped_abort (San.finish c));
   (* the same delivery inside Htm.attempt is the normal protocol *)
   let c = San.create () in
   feed c 0 1 (Sev.Note Sev.Attempt_enter);
-  feed c 0 2 Sev.Txn_aborted;
+  feed c 0 2 (Sev.Txn_aborted Euno_sim.Abort.Spurious);
   feed c 0 3 (Sev.Note Sev.Attempt_exit);
   check_clean "abort inside attempt" (San.finish c);
   let c = San.create () in
@@ -267,7 +268,7 @@ let with_checker m f =
       Sev.reset_racy ())
   @@ fun () ->
   let c = San.create () in
-  Euno_sim.Machine.set_san_hook m (Some (San.hook c));
+  Euno_sim.Machine.subscribe m (San.hook c);
   f c;
   San.finish c
 
@@ -413,6 +414,85 @@ let test_trees_clean_under_sanitizer () =
           check_clean (Kv.kind_name kind) s)
     Kv.all_kinds
 
+(* ---------- subscriber fan-out ---------- *)
+
+(* One contended HTM-B+Tree cell under an exploration policy, observed by
+   a trace ring, a sanitizer, or both subscribed to the same machine,
+   plus a tally of the events that are neither conflicts nor injections.
+   Sev is armed in every run: announcements are effects the explorer
+   counts, so arming them in only some runs would change the schedule. *)
+let fanout_run ~ring ~san =
+  let module Explore = Euno_sim.Explore in
+  Sev.set_armed true;
+  Sev.reset_racy ();
+  Fun.protect ~finally:(fun () ->
+      Sev.set_armed false;
+      Sev.reset_racy ())
+  @@ fun () ->
+  let w = fresh_world () in
+  let kv =
+    run_one w (fun () ->
+        let kv = Kv.build Kv.Htm_bptree ~fanout:8 ~map:w.map in
+        for k = 0 to 15 do
+          kv.Kv.put (k * 2) k
+        done;
+        kv)
+  in
+  let m =
+    Machine.create ~threads:4 ~seed:42 ~cost:Cost.default ~mem:w.mem
+      ~map:w.map ~alloc:w.alloc
+  in
+  Machine.set_explorer m
+    (Explore.hook
+       (Explore.create ~seed:42
+          (Explore.Random_walk { per_1024 = 64; span = 32 })));
+  let r = Trace.ring ~capacity:8192 and c = San.create () in
+  let tally = ref 0 in
+  if ring then Machine.subscribe m (Trace.push r);
+  if san then Machine.subscribe m (San.hook c);
+  Machine.subscribe m (fun e ->
+      match e.Sev.body with
+      | Sev.Conflict _ | Sev.Injected _ -> ()
+      | _ -> incr tally);
+  Machine.run m (fun _ ->
+      for _ = 1 to 30 do
+        let k = Api.rand 32 and op = Api.rand 100 in
+        Api.op_key k;
+        if op < 40 then ignore (kv.Kv.get k)
+        else if op < 90 then kv.Kv.put k (op + k)
+        else ignore (kv.Kv.delete k);
+        Api.op_done ()
+      done);
+  check_bool "ring kept every event" true (Trace.total r <= 8192);
+  (r, San.finish c, !tally)
+
+(* Each subscriber sees exactly what it sees alone: the ring's lines
+   equal the trace-only run's, and the checker's event count and findings
+   equal the san-only run's.  The checker skips the explore-park and
+   conflict events it receives, so it counts exactly the tally. *)
+let test_subscriber_fanout () =
+  let trace_only, _, _ = fanout_run ~ring:true ~san:false in
+  let _, san_only, _ = fanout_run ~ring:false ~san:true in
+  let trace_both, san_both, tally = fanout_run ~ring:true ~san:true in
+  let has_body p =
+    List.exists (fun (e : Sev.event) -> p e.Sev.body) (Trace.events trace_only)
+  in
+  check_bool "trace has explore parks" true
+    (has_body (function
+      | Sev.Injected f -> String.starts_with ~prefix:"explore-park" f
+      | _ -> false));
+  check_bool "trace has conflicts" true
+    (has_body (function Sev.Conflict _ -> true | _ -> false));
+  check_bool "ring lines equal the trace-only run's" true
+    (Trace.to_jsonl trace_both = Trace.to_jsonl trace_only);
+  check_bool "checker consumed events" true (san_only.San.events > 0);
+  check_int "checker skips conflicts and injections" tally
+    san_both.San.events;
+  check_int "checker event count" san_only.San.events san_both.San.events;
+  check_bool "checker findings equal the san-only run's" true
+    (san_both.San.findings = san_only.San.findings
+    && san_both.San.total = san_only.San.total)
+
 (* ---------- telemetry ---------- *)
 
 let test_san_record_validates () =
@@ -469,6 +549,7 @@ let suite =
       test_park_escape_fixed_clean;
     Alcotest.test_case "all trees clean under sanitizer" `Quick
       test_trees_clean_under_sanitizer;
+    Alcotest.test_case "subscriber fan-out" `Quick test_subscriber_fanout;
     Alcotest.test_case "san telemetry record validates" `Quick
       test_san_record_validates;
   ]
