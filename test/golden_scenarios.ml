@@ -22,8 +22,8 @@ let seed = 42
 
 (* One scenario = (trace JSONL lines, summary lines), both deterministic.
    A scenario is configured up to its [()] and run by passing [~traced];
-   an untraced run installs no trace sink and returns an empty trace, and
-   its summary must still equal the traced run's. *)
+   an untraced run subscribes nothing and returns an empty trace, and its
+   summary must still equal the traced run's. *)
 type output = { trace : string list; summary : string list }
 
 (* Record the machine's trace-event stream as JSON lines, oldest first. *)

@@ -56,7 +56,7 @@ let rerun_stable () =
   check_identical (name ^ " rerun summary") a.Golden_scenarios.summary
     b.Golden_scenarios.summary
 
-(* The same scenario with no trace sink installed must account exactly
+(* The same scenario with nothing subscribed must account exactly
    as the traced run recorded: observation never perturbs the run. *)
 let untraced_case (name, scenario) =
   Alcotest.test_case (name ^ " untraced") `Slow (fun () ->
