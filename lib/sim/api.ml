@@ -1,31 +1,6 @@
-(* Instruction set of a simulated thread: thin wrappers performing the
-   {!Eff} effects.  All code that runs "on" the machine (trees, locks,
-   workloads) is written against this module. *)
+(* Instruction set of a simulated thread: direct calls into the machine
+   running on this domain (Machine.Insn), interpreted on the thread's own
+   stack.  All code that runs "on" the machine (trees, locks, workloads)
+   is written against this module. *)
 
-let read addr = Effect.perform (Eff.Read addr)
-let write addr value = Effect.perform (Eff.Write (addr, value))
-let cas addr ~expected ~desired = Effect.perform (Eff.Cas (addr, expected, desired))
-let faa addr delta = Effect.perform (Eff.Faa (addr, delta))
-let work cycles = Effect.perform (Eff.Work cycles)
-let xbegin () = Effect.perform Eff.Xbegin
-let xend () = Effect.perform Eff.Xend
-let xabort code = Effect.perform (Eff.Xabort code)
-let xtest () = Effect.perform Eff.Xtest
-let tid () = Effect.perform Eff.Tid
-let clock () = Effect.perform Eff.Clock
-let rand bound = Effect.perform (Eff.Rand bound)
-let alloc ~kind ~words = Effect.perform (Eff.Alloc (kind, words))
-let free ~kind ~addr ~words = Effect.perform (Eff.Free (kind, addr, words))
-
-let reclassify ~from_kind ~to_kind ~words =
-  Effect.perform (Eff.Reclassify (from_kind, to_kind, words))
-let op_key key = Effect.perform (Eff.Op_key key)
-let op_done () = Effect.perform Eff.Op_done
-let count idx delta = Effect.perform (Eff.Count (idx, delta))
-let untracked_read addr = Effect.perform (Eff.Untracked_read addr)
-let untracked_write addr value = Effect.perform (Eff.Untracked_write (addr, value))
-
-(* Double-gated on Sev.armed: callers test it before building the note
-   (so disabled runs allocate nothing), and the re-check here keeps a
-   stray ungated call harmless. *)
-let san_note note = if Sev.armed () then Effect.perform (Eff.San_note note)
+include Machine.Insn

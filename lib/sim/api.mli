@@ -1,14 +1,18 @@
 (** Instruction set of a simulated hardware thread.
 
     Everything that runs on the {!Machine} — tree operations, locks,
-    workload loops — uses these calls exclusively; they perform {!Eff}
-    effects that the scheduler interprets, charges cycles for, and subjects
-    to RTM conflict detection.
+    workload loops — uses these calls exclusively.  Each is a direct call
+    into the machine running on this domain ({!Machine.Insn}), which
+    interprets it on the calling thread's own stack: it charges cycles,
+    subjects the access to RTM conflict detection, and returns.  The
+    thread parks in the scheduler only when another thread must run next,
+    or after every instruction while the run is observed.
 
-    {b Complexity:} each call performs exactly one effect — one constructor
-    allocation plus one coroutine switch into the scheduler; the
-    interpretation itself is O(1) per access (flat-array lookups, see
-    {!Machine}).
+    {b Complexity:} interpretation is O(1) per access (flat-array lookups,
+    see {!Machine}).  An instruction allocates nothing unless the thread
+    yields (a parked continuation) or aborts (the {!Eff.Txn_abort}
+    exception).  Calling any of these with no machine running on the
+    domain raises [Invalid_argument] naming the call.
 
     {b Determinism:} these are the only doors to simulated state.  Thread
     code that sticks to them (and {!rand} rather than host randomness) is
@@ -81,6 +85,6 @@ val untracked_write : int -> int -> unit
 
 val san_note : Sev.note -> unit
 (** Announce a synchronization-protocol event to the sanitizer.  No-op
-    (and performs no effect) unless {!Sev.armed}; call sites should
+    (not even an instruction) unless {!Sev.armed}; call sites should
     still test [Sev.armed ()] first so disabled runs never allocate the
     note.  Never charges simulated cycles. *)

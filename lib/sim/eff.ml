@@ -1,40 +1,9 @@
-(* Effect vocabulary of a simulated hardware thread.
+(* The two names thread code shares with the machine.
 
-   Tree and benchmark code never touches host state directly: every memory
-   access, atomic instruction and RTM primitive is performed as an effect
-   that the Machine scheduler interprets, charges cycles for, and checks for
-   conflicts.  This is what makes thread interleaving, HTM aborts and clock
-   accounting fully deterministic. *)
-
-(* Multi-argument constructors carry their fields inline (no intermediate
-   tuple block), so performing an effect costs one allocation, not two:
-   this dispatch happens on every simulated instruction. *)
-type _ Effect.t +=
-  | Read : int -> int Effect.t (* load word *)
-  | Write : int * int -> unit Effect.t (* store addr, value *)
-  | Cas : int * int * int -> bool Effect.t (* addr, expected, desired *)
-  | Faa : int * int -> int Effect.t (* fetch-and-add; returns old *)
-  | Work : int -> unit Effect.t (* consume ALU cycles *)
-  | Xbegin : unit Effect.t
-  | Xend : unit Effect.t
-  | Xabort : int -> unit Effect.t (* never returns normally *)
-  | Xtest : bool Effect.t (* inside a transaction? *)
-  | Tid : int Effect.t
-  | Clock : int Effect.t (* own local cycle clock *)
-  | Rand : int -> int Effect.t (* deterministic per-thread uniform *)
-  | Alloc : Euno_mem.Linemap.kind * int -> int Effect.t (* kind, words *)
-  | Free : Euno_mem.Linemap.kind * int * int -> unit Effect.t
-    (* kind, addr, words; deferred to commit inside a transaction *)
-  | Reclassify : Euno_mem.Linemap.kind * Euno_mem.Linemap.kind * int -> unit Effect.t
-    (* move allocator accounting between kinds (reverted on abort) *)
-  | Op_key : int -> unit Effect.t (* declare current op's target key *)
-  | Op_done : unit Effect.t (* one benchmark operation completed *)
-  | Count : int * int -> unit Effect.t (* user counter idx, delta *)
-  | Untracked_read : int -> int Effect.t (* stats only: no coherence *)
-  | Untracked_write : int * int -> unit Effect.t
-  | San_note : Sev.note -> unit Effect.t
-    (* sanitizer announcement (lock acquired, optimistic section, ...);
-       free of cycles, performed only while Sev.armed *)
+   Instructions are direct calls (Api → Machine.Insn), not effects: the
+   machine's only effects are private to it.  What remains here is the
+   exception a transaction body sees when the hardware aborts it, and the
+   null simulated pointer. *)
 
 exception Txn_abort of Abort.code
 (* Delivered into a transaction body when the hardware aborts it.  User code

@@ -1,43 +1,17 @@
-(** Effect vocabulary of a simulated hardware thread.
+(** The two names thread code shares with the machine.
 
-    Code that runs on the {!Machine} performs these effects (via the
-    {!Api} wrappers) for every memory access, atomic instruction and RTM
-    primitive; the scheduler interprets them, which is what makes
-    interleaving, conflict detection and cycle accounting deterministic.
+    Every memory access, atomic instruction and RTM primitive is a direct
+    call through {!Api} into {!Machine.Insn}, interpreted on the calling
+    thread's stack; no instruction is an effect.  The machine's own
+    effects (a thread yielding to the scheduler, an interpretation error
+    escaping the thread) are private to {!Machine}.  What remains here is
+    the abort exception and the null pointer.
 
-    {b Complexity:} performing an effect costs a single constructor
-    allocation — multi-argument constructors carry their fields inline
-    (no tuple box) because this dispatch happens on every simulated
-    instruction.
+    {b Complexity:} nothing here runs per instruction; an instruction
+    that neither yields nor aborts allocates nothing (see {!Machine.Insn}).
 
-    {b Determinism:} effects carry only integers and allocator kinds;
-    interpretation order is fixed by the scheduler's (clock, tid) order,
-    never by host state. *)
-
-type _ Effect.t +=
-  | Read : int -> int Effect.t
-  | Write : int * int -> unit Effect.t
-  | Cas : int * int * int -> bool Effect.t
-  | Faa : int * int -> int Effect.t
-  | Work : int -> unit Effect.t
-  | Xbegin : unit Effect.t
-  | Xend : unit Effect.t
-  | Xabort : int -> unit Effect.t
-  | Xtest : bool Effect.t
-  | Tid : int Effect.t
-  | Clock : int Effect.t
-  | Rand : int -> int Effect.t
-  | Alloc : Euno_mem.Linemap.kind * int -> int Effect.t
-  | Free : Euno_mem.Linemap.kind * int * int -> unit Effect.t
-  | Reclassify : Euno_mem.Linemap.kind * Euno_mem.Linemap.kind * int -> unit Effect.t
-  | Op_key : int -> unit Effect.t
-  | Op_done : unit Effect.t
-  | Count : int * int -> unit Effect.t
-  | Untracked_read : int -> int Effect.t
-  | Untracked_write : int * int -> unit Effect.t
-  | San_note : Sev.note -> unit Effect.t
-      (** sanitizer announcement; costs no cycles, only performed while
-          {!Sev.armed} *)
+    {b Determinism:} {!Txn_abort} is raised at the instruction the
+    scheduler's (clock, tid) order fixes, never by host state. *)
 
 exception Txn_abort of Abort.code
 (** Delivered into a transaction body when the hardware aborts it; only

@@ -2,7 +2,7 @@
 
    The machine's default scheduler always resumes the ready thread with the
    smallest (clock, tid) — one canonical interleaving per seed.  An
-   exploration policy perturbs that order: after every interpreted effect
+   exploration policy perturbs that order: after every interpreted instruction
    the machine asks the policy whether the thread that just ran should be
    *parked* (descheduled) for a number of scheduler picks, letting other
    ready threads overtake it.  Forced context switches at the right
@@ -18,7 +18,7 @@
    is only (tid, point kind), the output only a park span. *)
 
 type point =
-  | Step (* any interpreted effect *)
+  | Step (* any interpreted instruction *)
   | Xbegin
   | Xcommit
   | Xabort (* explicit or delivered abort: the retry/fallback path begins *)
@@ -42,7 +42,7 @@ let point_of_string = function
   | "rmw" -> Atomic_rmw
   | s -> invalid_arg ("Explore.point_of_string: " ^ s)
 
-(* All points a policy may target; [sync_points] excludes the per-effect
+(* All points a policy may target; [sync_points] excludes the per-instruction
    [Step] so a targeted policy only fires at protocol boundaries. *)
 let sync_points = [ Xbegin; Xcommit; Xabort; Lock_acquire; Atomic_rmw ]
 
@@ -194,7 +194,7 @@ let fired t = List.rev t.fired
 
 let spec t = t.spec
 
-(* One consultation: called by the machine after every interpreted effect
+(* One consultation: called by the machine after every interpreted instruction
    of a still-runnable thread.  Returns the park span (0 = keep the thread
    schedulable).  Must be called in execution order — the per-thread and
    global counters advance on every call, so decisions are a pure function

@@ -3,7 +3,7 @@
     The default scheduler executes the one canonical min-(clock, tid)
     interleaving per seed.  An exploration policy perturbs it: installed
     with {!Machine.set_explorer}, it becomes the pick function of the
-    machine's scheduler loop, which after every interpreted effect
+    machine's scheduler loop, which after every interpreted instruction
     consults the policy.  The policy may {e park} the thread that just ran
     for a number of scheduler picks, letting other ready threads overtake
     it.  Forced context switches at transaction and lock boundaries open
@@ -22,10 +22,10 @@
     this module, so golden traces stay byte-identical. *)
 
 (** Where in the instruction stream a consultation happens.  Every
-    interpreted effect is at least a {!Step}; protocol-relevant effects
+    interpreted instruction is at least a {!Step}; protocol-relevant ones
     are tagged more precisely. *)
 type point =
-  | Step  (** any interpreted effect *)
+  | Step  (** any interpreted instruction *)
   | Xbegin  (** a transaction just started *)
   | Xcommit  (** a transaction just committed *)
   | Xabort
@@ -86,7 +86,7 @@ val spec : t -> spec
 
 val hook : t -> tid:int -> point:point -> int
 (** One consultation; returns the park span ([0] = stay schedulable).
-    Called by the machine after every interpreted effect of a
+    Called by the machine after every interpreted instruction of a
     still-runnable thread, in execution order — the per-thread and global
     consultation counters advance on every call.  Pass this (partially
     applied) to {!Machine.set_explorer}. *)

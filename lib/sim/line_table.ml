@@ -66,16 +66,17 @@ let writer_of t line =
 let[@inline] is_reader t line tid =
   line < Array.length t.readers && t.readers.(line) land (1 lsl tid) <> 0
 
+let[@inline] reader_mask t line =
+  if line < Array.length t.readers then t.readers.(line) else 0
+
 (* Reader tids of [line] except [tid], ascending — the doom order the
    machine charges victims in, so it is part of the deterministic trace. *)
 let iter_readers_except t line tid f =
-  if line < Array.length t.readers then begin
-    let mask = t.readers.(line) land lnot (1 lsl tid) in
-    if mask <> 0 then
-      for i = 0 to max_threads - 1 do
-        if mask land (1 lsl i) <> 0 then f i
-      done
-  end
+  let mask = reader_mask t line land lnot (1 lsl tid) in
+  if mask <> 0 then
+    for i = 0 to max_threads - 1 do
+      if mask land (1 lsl i) <> 0 then f i
+    done
 
 let readers_except t line tid =
   let acc = ref [] in

@@ -8,8 +8,9 @@
     {b Complexity:} flat arrays indexed by line number — every query and
     update is O(1) with no per-access allocation (the arrays grow
     geometrically to the highest line ever owned).  [readers_except] is
-    the one list-allocating query; the machine's hot path uses
-    {!iter_readers_except} and {!writer} instead.
+    the one list-allocating query and {!iter_readers_except} takes a
+    closure; the machine's hot path uses {!reader_mask} and {!writer}
+    instead.
 
     {b Determinism:} iteration order over readers is ascending tid, which
     fixes the order conflict victims are doomed (and charged) in. *)
@@ -32,6 +33,11 @@ val writer_of : t -> int -> int option
 
 val is_reader : t -> int -> int -> bool
 (** [is_reader t line tid]: is [tid] in the line's reader set? O(1). *)
+
+val reader_mask : t -> int -> int
+(** The line's reader set as a bitmask (bit [i] = tid [i]); [0] when no
+    transaction reads it.  The machine's doom scan walks this mask
+    directly, so a write allocates no closure. *)
 
 val iter_readers_except : t -> int -> int -> (int -> unit) -> unit
 (** Apply to every reader tid of the line except the given one, in

@@ -1,13 +1,17 @@
 (* The simulated multicore.
 
-   Each simulated hardware thread is an effects-handler coroutine.  The
-   scheduler always resumes the ready thread with the smallest local cycle
-   clock, interprets its next effect (memory access, atomic, RTM
-   primitive), charges cycles from the Cost model, performs eager
-   requester-wins conflict detection at cache-line granularity, and parks
-   the continuation again.  Doomed transactions observe their abort as a
-   Txn_abort exception delivered at their next instruction, exactly like a
-   real RTM abort rolling back to the xbegin point.
+   Each simulated hardware thread is an effects-handler coroutine.  An
+   instruction (memory access, atomic, RTM primitive) is a direct call
+   from the thread into [Insn] below, interpreted on the thread's own
+   stack: it charges cycles from the Cost model, performs eager
+   requester-wins conflict detection at cache-line granularity, and
+   returns.  The thread hands control back to the scheduler — one private
+   [Yield] effect, parking its continuation — only when it is no longer
+   the ready thread with the smallest (clock, tid), or after every
+   instruction while anything observes the run.  The scheduler then
+   resumes the minimum.  Doomed transactions observe their abort as a
+   Txn_abort exception delivered at their next instruction, exactly like
+   a real RTM abort rolling back to the xbegin point.
 
    The whole machine runs on one host thread; given a seed, every run is
    bit-for-bit reproducible.
@@ -83,7 +87,7 @@ type counters = {
   conflict_kinds : int array; (* conflicts by Linemap kind of the line *)
   mutable wasted_cycles : int; (* cycles inside aborted transactions *)
   mutable committed_cycles : int; (* cycles inside committed transactions *)
-  mutable accesses : int; (* instruction-count proxy: effects interpreted *)
+  mutable accesses : int; (* instruction-count proxy: accesses interpreted *)
   user : int array;
 }
 
@@ -145,9 +149,8 @@ let no_injector =
 
 type status =
   | Start of (unit -> unit)
-  | Ready : ('a, unit) Effect.Deep.continuation * 'a -> status
-      (* parked continuation and the value to resume it with, boxed
-         together (one block per interpreted effect, not two) *)
+  | Ready of (unit, unit) Effect.Deep.continuation
+      (* parked at a yield, after its last instruction was interpreted *)
   | Running
   | Done
   | Failed of exn
@@ -163,8 +166,9 @@ type tstate = {
        injected allocation failure outside a transaction) *)
   mutable txn : Txn.t option;
   arena : Txn.t;
-    (* the one Txn value this thread ever uses; [txn = Some arena] while a
+    (* the one Txn value this thread ever uses; [txn = active] while a
        transaction is active.  Reset in O(1) at each xbegin. *)
+  active : Txn.t option; (* [Some arena], built once: xbegin allocates nothing *)
   rng : Rng.t;
   mutable op_key : int;
   cache : int array; (* direct-mapped warmth cache of line ids *)
@@ -193,6 +197,7 @@ type t = {
   c_gran : int; (* conflict-granule shift over line ids; 0 = per-line *)
   lt : Line_table.t;
   threads : tstate array;
+  mutable cur : tstate; (* the thread the scheduler last resumed *)
   sched : Sched.t;
   mutable owner_socket : int array; (* line -> socket of last writer, -1 *)
   cache_mask : int;
@@ -206,7 +211,7 @@ type t = {
   mutable inject : injector;
   mutable explore : tid:int -> point:Explore.point -> int;
   mutable exp_point : Explore.point;
-    (* point kind of the effect currently being interpreted; reset to
+    (* point kind of the instruction just interpreted; reset to
        [Step] before each resumption, upgraded by the process functions *)
   mutable sample_window : int; (* 0 = periodic sampling disabled *)
   mutable next_sample : int; (* next window boundary; max_int = never *)
@@ -235,6 +240,7 @@ let create ~threads ~seed ~cost ~mem ~map ~alloc =
     invalid_arg "Machine.create: bad thread count";
   let cache_size = 1 lsl cost.Cost.cache_entries_log2 in
   let mk tid =
+    let arena = Txn.create ~tid in
     {
       tid;
       socket = tid mod cost.Cost.sockets;
@@ -243,13 +249,15 @@ let create ~threads ~seed ~cost ~mem ~map ~alloc =
       doom = None;
       pending_exn = None;
       txn = None;
-      arena = Txn.create ~tid;
+      arena;
+      active = Some arena;
       rng = Rng.create (seed + (tid * 7919) + 1);
       op_key = -1;
       cache = Array.make cache_size (-1);
       cnt = fresh_counters ();
     }
   in
+  let ts = Array.init threads mk in
   {
     mem;
     map;
@@ -269,7 +277,8 @@ let create ~threads ~seed ~cost ~mem ~map ~alloc =
     c_ws_cap = cost.Cost.capacity.Cost.ws_lines;
     c_gran = cost.Cost.capacity.Cost.granule_log2;
     lt = Line_table.create ();
-    threads = Array.init threads mk;
+    threads = ts;
+    cur = ts.(0);
     sched = Sched.create ~capacity:threads;
     owner_socket = Array.make 64 (-1);
     cache_mask = cache_size - 1;
@@ -397,17 +406,24 @@ let publish_write m ~writer line =
 
 (* ---------- aborting transactions ---------- *)
 
-let release_txn m (v : tstate) (txn : Txn.t) =
-  Txn.iter_lines txn (fun line -> Line_table.remove_thread m.lt line v.tid)
+(* Commit and abort run on the thread's stack between two instructions,
+   so their list walks are top-level recursions, not closures. *)
+let rec undo_reclassifies m = function
+  | [] -> ()
+  | (from_kind, to_kind, words) :: rest ->
+      Al.reclassify m.alloc ~from_kind:to_kind ~to_kind:from_kind ~words;
+      undo_reclassifies m rest
 
-let rollback_allocs m (txn : Txn.t) =
-  List.iter
-    (fun (from_kind, to_kind, words) ->
-      Al.reclassify m.alloc ~from_kind:to_kind ~to_kind:from_kind ~words)
-    (Txn.reclassifies txn);
-  List.iter
-    (fun (kind, addr, words) -> Al.free m.alloc ~kind ~addr ~words)
-    (Txn.allocs txn)
+let rec undo_allocs m = function
+  | [] -> ()
+  | (kind, addr, words) :: rest ->
+      Al.free m.alloc ~kind ~addr ~words;
+      undo_allocs m rest
+
+let rollback m (txn : Txn.t) =
+  Txn.release txn m.lt;
+  undo_reclassifies m (Txn.reclassifies txn);
+  undo_allocs m (Txn.allocs txn)
 
 (* Abort a thread's active transaction: release ownership, roll back
    allocations, account wasted cycles, and arrange for Txn_abort to be
@@ -416,8 +432,7 @@ let abort_txn m (v : tstate) (code : Abort.code) =
   match v.txn with
   | None -> ()
   | Some txn ->
-      release_txn m v txn;
-      rollback_allocs m txn;
+      rollback m txn;
       v.txn <- None;
       v.cnt.aborts.(Abort.index code) <- v.cnt.aborts.(Abort.index code) + 1;
       v.cnt.wasted_cycles <-
@@ -443,8 +458,7 @@ let crash m ~at_cycle =
     (fun t ->
       (match t.txn with
       | Some txn ->
-          release_txn m t txn;
-          rollback_allocs m txn;
+          rollback m txn;
           t.txn <- None
       | None -> ());
       t.doom <- None;
@@ -477,9 +491,16 @@ let[@inline] doom_writer_of m ~attacker line =
   let w = Line_table.writer m.lt (granule m line) in
   if w >= 0 && w <> attacker then doom_holder m ~attacker ~victim_tid:w line
 
-let[@inline] doom_readers_of m ~attacker line =
-  Line_table.iter_readers_except m.lt (granule m line) attacker (fun r ->
-      doom_holder m ~attacker ~victim_tid:r line)
+(* Victims in ascending tid order, as Line_table.iter_readers_except
+   would visit them, without its closure. *)
+let doom_readers_of m ~attacker line =
+  let mask =
+    Line_table.reader_mask m.lt (granule m line) land lnot (1 lsl attacker)
+  in
+  if mask <> 0 then
+    for r = 0 to Array.length m.threads - 1 do
+      if mask land (1 lsl r) <> 0 then doom_holder m ~attacker ~victim_tid:r line
+    done
 
 (* ---------- transactional hazards ---------- *)
 
@@ -500,7 +521,7 @@ let txn_hazards m (t : tstate) (txn : Txn.t) =
   end
   else false
 
-(* ---------- effect interpretation ---------- *)
+(* ---------- instruction interpretation ---------- *)
 
 let process_read m (t : tstate) addr =
   t.cnt.accesses <- t.cnt.accesses + 1;
@@ -517,23 +538,23 @@ let process_read m (t : tstate) addr =
       if txn_hazards m t txn then 0
       else begin
         if m.hooked then emit m t (Sev.Txn_line_read line);
-        match Txn.buffered_value txn addr with
-        | Some v -> v
-        | None ->
-            doom_writer_of m ~attacker:t.tid line;
-            let g = granule m line in
-            if not (Line_table.is_reader m.lt g t.tid) then begin
-              Txn.note_read txn g;
-              if Txn.reads txn > rs_capacity m t then begin
-                abort_txn m t Abort.Capacity_read;
-                0
-              end
-              else begin
-                Line_table.add_reader m.lt g t.tid;
-                Mem.get m.mem addr
-              end
+        if Txn.is_buffered txn addr then Txn.buffered txn addr
+        else begin
+          doom_writer_of m ~attacker:t.tid line;
+          let g = granule m line in
+          if not (Line_table.is_reader m.lt g t.tid) then begin
+            Txn.note_read txn g;
+            if Txn.reads txn > rs_capacity m t then begin
+              abort_txn m t Abort.Capacity_read;
+              0
             end
-            else Mem.get m.mem addr
+            else begin
+              Line_table.add_reader m.lt g t.tid;
+              Mem.get m.mem addr
+            end
+          end
+          else Mem.get m.mem addr
+        end
       end
 
 let process_write m (t : tstate) addr value =
@@ -581,11 +602,8 @@ let process_write m (t : tstate) addr value =
 
 let current_value m (t : tstate) addr =
   match t.txn with
-  | Some txn -> (
-      match Txn.buffered_value txn addr with
-      | Some v -> v
-      | None -> Mem.get m.mem addr)
-  | None -> Mem.get m.mem addr
+  | Some txn when Txn.is_buffered txn addr -> Txn.buffered txn addr
+  | _ -> Mem.get m.mem addr
 
 let process_cas m (t : tstate) addr expected desired =
   t.cnt.accesses <- t.cnt.accesses + 1;
@@ -675,7 +693,14 @@ let process_xbegin m (t : tstate) =
     emit m t Sev.Txn_begin
   end;
   Txn.reset t.arena ~start_clock:t.clock;
-  t.txn <- Some t.arena
+  t.txn <- t.active
+
+let rec free_deferred m t = function
+  | [] -> ()
+  | (kind, addr, words) :: rest ->
+      if m.hooked then emit m t (Sev.Free_done { addr; words });
+      Al.free m.alloc ~kind ~addr ~words;
+      free_deferred m t rest
 
 let process_xend m (t : tstate) =
   t.cnt.accesses <- t.cnt.accesses + 1;
@@ -686,15 +711,13 @@ let process_xend m (t : tstate) =
       if m.hooked then m.exp_point <- Explore.Xcommit;
       (* Eager conflict detection guarantees exclusive ownership of the
          write set here, so commit always succeeds. *)
-      Txn.iter_writes txn (fun addr value ->
-          Mem.set m.mem addr value;
-          publish_write m ~writer:t.tid (Mem.line_of_addr addr));
-      List.iter
-        (fun (kind, addr, words) ->
-          if m.hooked then emit m t (Sev.Free_done { addr; words });
-          Al.free m.alloc ~kind ~addr ~words)
-        (Txn.frees txn);
-      release_txn m t txn;
+      for i = 0 to Txn.write_count txn - 1 do
+        let addr = Txn.write_addr txn i in
+        Mem.set m.mem addr (Txn.buffered txn addr);
+        publish_write m ~writer:t.tid (Mem.line_of_addr addr)
+      done;
+      free_deferred m t (Txn.frees txn);
+      Txn.release txn m.lt;
       t.cnt.commits <- t.cnt.commits + 1;
       t.cnt.committed_cycles <-
         t.cnt.committed_cycles + (t.clock - Txn.start_clock txn);
@@ -792,13 +815,259 @@ let sample_boundaries m clock =
 
 let samples m = List.rev m.samples
 
+(* ---------- instructions ----------
+
+   Api's calls land in [Insn] and run on the simulated thread's own
+   stack: find the machine running on this domain and the thread it last
+   resumed, interpret the instruction, then [retire] it.  [retire] alone
+   decides whether the thread keeps running, so an instruction that
+   neither yields nor aborts allocates nothing. *)
+
+(* The run-ahead test: [t], which is not in the run queue, is the unique
+   (clock, tid) minimum of the ready threads.  It is exact: tids differ,
+   and a stale queued key only under-estimates its thread's true key (see
+   the heap pick in [run]).  [retire] and the heap pick share it, so a
+   thread that keeps running after an instruction is the thread the pick
+   would have resumed. *)
+let[@inline] is_min m (t : tstate) =
+  Sched.is_empty m.sched
+  || Sched.pack ~clock:t.clock ~tid:t.tid < Sched.peek m.sched
+
+(* The machine's two private effects.  [Yield] parks the performing
+   thread for the scheduler.  [Escape] carries an exception raised while
+   interpreting an instruction (xend outside a transaction, a bad counter
+   index, a raising subscriber) past the thread's own handlers, where
+   [Htm.attempt] would turn it into an xabort, and out of [run] at once. *)
+type _ Effect.t +=
+  | Yield : unit Effect.t
+  | Escape : exn * Printexc.raw_backtrace -> 'a Effect.t
+
+(* The machine running on this domain.  [run] sets it and restores the
+   previous value on every exit, so a run nested inside another machine's
+   thread hands the outer machine back. *)
+let current : t option Domain_ref.t = Domain_ref.create (fun () -> None)
+
+(* After an instruction: yield when the scheduler must see the step
+   (anything hooked: the pre-step, the explorer and doom delivery then
+   happen where they always did) or would pick another thread.  Otherwise
+   keep running, raising a doom or a pending exception here, exactly as
+   [resume_once] would discontinue the thread with it. *)
+let[@inline] retire m (t : tstate) =
+  if m.hooked || not (is_min m t) then Effect.perform Yield
+  else
+    match t.doom with
+    | Some code ->
+        t.doom <- None;
+        raise (Eff.Txn_abort code)
+    | None -> (
+        match t.pending_exn with
+        | Some e ->
+            t.pending_exn <- None;
+            raise e
+        | None -> ())
+
+module Insn = struct
+  let[@inline never] no_machine name =
+    invalid_arg (name ^ ": no simulated machine is running on this domain")
+
+  let[@inline] machine name =
+    match Domain_ref.get current with Some m -> m | None -> no_machine name
+
+  let[@inline never] escape e =
+    Effect.perform (Escape (e, Printexc.get_raw_backtrace ()))
+
+  (* Each instruction: interpret under [escape], then [retire] outside
+     it, so a doom or a pending exception enters the thread. *)
+
+  let read addr =
+    let m = machine "Api.read" in
+    let t = m.cur in
+    match process_read m t addr with
+    | v ->
+        retire m t;
+        v
+    | exception e -> escape e
+
+  let write addr value =
+    let m = machine "Api.write" in
+    let t = m.cur in
+    match process_write m t addr value with
+    | () -> retire m t
+    | exception e -> escape e
+
+  let cas addr ~expected ~desired =
+    let m = machine "Api.cas" in
+    let t = m.cur in
+    match process_cas m t addr expected desired with
+    | ok ->
+        retire m t;
+        ok
+    | exception e -> escape e
+
+  let faa addr delta =
+    let m = machine "Api.faa" in
+    let t = m.cur in
+    match process_faa m t addr delta with
+    | old ->
+        retire m t;
+        old
+    | exception e -> escape e
+
+  let work cycles =
+    let m = machine "Api.work" in
+    let t = m.cur in
+    (* not [max 0 cycles]: Stdlib.max is a polymorphic compare *)
+    match charge m t (if cycles > 0 then cycles else 0) with
+    | () -> retire m t
+    | exception e -> escape e
+
+  let xbegin () =
+    let m = machine "Api.xbegin" in
+    let t = m.cur in
+    match process_xbegin m t with
+    | () -> retire m t
+    | exception e -> escape e
+
+  let xend () =
+    let m = machine "Api.xend" in
+    let t = m.cur in
+    match process_xend m t with
+    | () -> retire m t
+    | exception e -> escape e
+
+  let xabort code =
+    let m = machine "Api.xabort" in
+    let t = m.cur in
+    match
+      if m.hooked then m.exp_point <- Explore.Xabort;
+      abort_txn m t (Abort.Explicit code)
+    with
+    | () -> retire m t
+    | exception e -> escape e
+
+  (* Reads of the thread's own state cannot raise: nothing to escape.
+     The value is taken before [retire], which may park the thread. *)
+
+  let xtest () =
+    let m = machine "Api.xtest" in
+    let t = m.cur in
+    let v = Option.is_some t.txn in
+    retire m t;
+    v
+
+  let tid () =
+    let m = machine "Api.tid" in
+    let t = m.cur in
+    retire m t;
+    t.tid
+
+  let clock () =
+    let m = machine "Api.clock" in
+    let t = m.cur in
+    let c = t.clock in
+    retire m t;
+    c
+
+  let op_key key =
+    let m = machine "Api.op_key" in
+    let t = m.cur in
+    t.op_key <- key;
+    retire m t
+
+  let rand bound =
+    let m = machine "Api.rand" in
+    let t = m.cur in
+    match Rng.int t.rng bound with
+    | v ->
+        retire m t;
+        v
+    | exception e -> escape e
+
+  let alloc ~kind ~words =
+    let m = machine "Api.alloc" in
+    let t = m.cur in
+    match process_alloc m t kind words with
+    | addr ->
+        retire m t;
+        addr
+    | exception e -> escape e
+
+  let free ~kind ~addr ~words =
+    let m = machine "Api.free" in
+    let t = m.cur in
+    match process_free m t kind addr words with
+    | () -> retire m t
+    | exception e -> escape e
+
+  let reclassify ~from_kind ~to_kind ~words =
+    let m = machine "Api.reclassify" in
+    let t = m.cur in
+    match process_reclassify m t from_kind to_kind words with
+    | () -> retire m t
+    | exception e -> escape e
+
+  let op_done () =
+    let m = machine "Api.op_done" in
+    let t = m.cur in
+    match
+      t.cnt.ops <- t.cnt.ops + 1;
+      if m.hooked then emit m t (Sev.Op_exit t.op_key);
+      t.op_key <- -1
+    with
+    | () -> retire m t
+    | exception e -> escape e
+
+  let count idx delta =
+    let m = machine "Api.count" in
+    let t = m.cur in
+    match t.cnt.user.(idx) <- t.cnt.user.(idx) + delta with
+    | () -> retire m t
+    | exception e -> escape e
+
+  let untracked_read addr =
+    let m = machine "Api.untracked_read" in
+    let t = m.cur in
+    match
+      charge m t 1;
+      if m.hooked then emit m t (Sev.Unsafe_read addr);
+      Mem.get m.mem addr
+    with
+    | v ->
+        retire m t;
+        v
+    | exception e -> escape e
+
+  let untracked_write addr value =
+    let m = machine "Api.untracked_write" in
+    let t = m.cur in
+    match
+      charge m t 1;
+      if m.hooked then emit m t (Sev.Unsafe_write addr);
+      Mem.set m.mem addr value
+    with
+    | () -> retire m t
+    | exception e -> escape e
+
+  (* Double-gated on Sev.armed: callers test it before building the note
+     (so disabled runs allocate nothing), and the re-check here keeps a
+     stray ungated call harmless. *)
+  let san_note note =
+    if Sev.armed () then begin
+      let m = machine "Api.san_note" in
+      let t = m.cur in
+      match if m.hooked then emit m t (Sev.Note note) with
+      | () -> retire m t
+      | exception e -> escape e
+    end
+end
+
 (* ---------- scheduler ---------- *)
 
 let run m bodies =
   let handler (t : tstate) : (unit, unit) Effect.Deep.handler =
-    let park : type a. (a, unit) Effect.Deep.continuation -> a -> unit =
-     fun k v -> t.status <- Ready (k, v)
-    in
+    (* Built once per thread: a yield allocates only its continuation and
+       the [Ready] block. *)
+    let park = Some (fun k -> t.status <- Ready k) in
     {
       retc =
         (fun () ->
@@ -809,8 +1078,7 @@ let run m bodies =
         (fun e ->
           (match t.txn with
           | Some txn ->
-              release_txn m t txn;
-              rollback_allocs m txn;
+              rollback m txn;
               t.txn <- None
           | None -> ());
           if m.hooked then
@@ -823,73 +1091,12 @@ let run m bodies =
                  });
           t.status <- Failed e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
           match eff with
-          | Eff.Read addr ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  park k (process_read m t addr))
-          | Eff.Write (addr, v) -> Some (fun k -> park k (process_write m t addr v))
-          | Eff.Cas (addr, e0, d) -> Some (fun k -> park k (process_cas m t addr e0 d))
-          | Eff.Faa (addr, d) -> Some (fun k -> park k (process_faa m t addr d))
-          | Eff.Work c ->
-              Some
-                (fun k ->
-                  charge m t (max 0 c);
-                  park k ())
-          | Eff.Xbegin -> Some (fun k -> park k (process_xbegin m t))
-          | Eff.Xend -> Some (fun k -> park k (process_xend m t))
-          | Eff.Xabort code ->
-              Some
-                (fun k ->
-                  if m.hooked then m.exp_point <- Explore.Xabort;
-                  abort_txn m t (Abort.Explicit code);
-                  park k ())
-          | Eff.Xtest -> Some (fun k -> park k (t.txn <> None))
-          | Eff.Tid -> Some (fun k -> park k t.tid)
-          | Eff.Clock -> Some (fun k -> park k t.clock)
-          | Eff.Rand n -> Some (fun k -> park k (Rng.int t.rng n))
-          | Eff.Alloc (kind, words) ->
-              Some (fun k -> park k (process_alloc m t kind words))
-          | Eff.Free (kind, addr, words) ->
-              Some (fun k -> park k (process_free m t kind addr words))
-          | Eff.Reclassify (from_kind, to_kind, words) ->
-              Some (fun k -> park k (process_reclassify m t from_kind to_kind words))
-          | Eff.Op_key key ->
-              Some
-                (fun k ->
-                  t.op_key <- key;
-                  park k ())
-          | Eff.Op_done ->
-              Some
-                (fun k ->
-                  t.cnt.ops <- t.cnt.ops + 1;
-                  if m.hooked then emit m t (Sev.Op_exit t.op_key);
-                  t.op_key <- -1;
-                  park k ())
-          | Eff.Count (i, d) ->
-              Some
-                (fun k ->
-                  t.cnt.user.(i) <- t.cnt.user.(i) + d;
-                  park k ())
-          | Eff.Untracked_read addr ->
-              Some
-                (fun k ->
-                  charge m t 1;
-                  if m.hooked then emit m t (Sev.Unsafe_read addr);
-                  park k (Mem.get m.mem addr))
-          | Eff.Untracked_write (addr, v) ->
-              Some
-                (fun k ->
-                  charge m t 1;
-                  if m.hooked then emit m t (Sev.Unsafe_write addr);
-                  park k (Mem.set m.mem addr v))
-          | Eff.San_note note ->
-              Some
-                (fun k ->
-                  if m.hooked then emit m t (Sev.Note note);
-                  park k ())
-          | _ -> None)
+          | Yield -> park
+          | Escape (e, bt) -> Printexc.raise_with_backtrace e bt
+          | _ -> None);
     }
   in
   Array.iter
@@ -901,20 +1108,20 @@ let run m bodies =
       t.txn <- None)
     m.threads;
   let runnable t = match t.status with Start _ | Ready _ -> true | _ -> false in
-  (* Resume thread [t] exactly once: it runs until its next effect is
-     interpreted and parked (or it finishes).  Picks only return runnable
-     threads. *)
+  (* Resume thread [t] exactly once: it runs until it yields (or
+     finishes).  Picks only return runnable threads. *)
   let resume_once t =
+    m.cur <- t;
     match t.status with
     | Start f ->
         t.status <- Running;
         Effect.Deep.match_with f () (handler t)
-    | Ready (k, v) -> (
+    | Ready k -> (
         t.status <- Running;
         match t.doom with
         | Some code ->
             t.doom <- None;
-            (* The first effect after a delivered abort is where the
+            (* The first instruction after a delivered abort is where the
                retry/fallback path begins — a prime preemption target. *)
             if m.hooked then m.exp_point <- Explore.Xabort;
             Effect.Deep.discontinue k (Eff.Txn_abort code)
@@ -923,7 +1130,7 @@ let run m bodies =
             | Some e ->
                 t.pending_exn <- None;
                 Effect.Deep.discontinue k e
-            | None -> Effect.Deep.continue k v))
+            | None -> Effect.Deep.continue k ()))
     | Running | Done | Failed _ -> assert false
   in
   (* Heap pick.  The run queue holds one entry per runnable thread other
@@ -954,19 +1161,14 @@ let run m bodies =
     end
   in
   (* Run-ahead: keep stepping the previous thread while it is still the
-     global minimum, with zero heap traffic.  The comparison against
-     [peek] is exact: the thread itself is not in the heap, tids differ,
-     and a stale peeked key only under-estimates its thread's true key —
-     so [key < peek] proves this thread is the unique (clock, tid)
-     minimum, the same pick a push and pop would make.  This collapses the
-     single-threaded case (tree preloads, run_single, the micro-benches)
-     to straight-line execution. *)
+     global minimum ([is_min]), with zero heap traffic — the same pick a
+     push and pop would make.  Unhooked, [retire] has already made this
+     test after the thread's last instruction and yielded only because it
+     failed, so here it fails again; hooked, every instruction yields and
+     this is where the thread keeps the processor. *)
   let heap_pick prev =
     if not (runnable prev) then pop ()
-    else if
-      Sched.is_empty m.sched
-      || Sched.pack ~clock:prev.clock ~tid:prev.tid < Sched.peek m.sched
-    then prev.tid
+    else if is_min m prev then prev.tid
     else begin
       Sched.push m.sched ~clock:prev.clock ~tid:prev.tid;
       pop ()
@@ -984,8 +1186,8 @@ let run m bodies =
      Timestamp truthfulness: linearizability checking orders events by
      their recorded clocks, so execution order must never contradict
      them.  A thread overtaken while parked could otherwise execute "in
-     the past" of effects that already ran; bumping its clock to the start
-     clock of the last executed effect ([now]) keeps recorded intervals
+     the past" of steps that already ran; bumping its clock to the start
+     clock of the last executed step ([now]) keeps recorded intervals
      consistent with execution order.  Under a pure min-clock policy the
      bump is provably a no-op (the picked minimum never decreases), so an
      inert policy reproduces the heap pick's schedule exactly. *)
@@ -1070,6 +1272,9 @@ let run m bodies =
       end
     end
   in
+  let outer = Domain_ref.get current in
+  Domain_ref.set current (Some m);
+  Fun.protect ~finally:(fun () -> Domain_ref.set current outer) @@ fun () ->
   loop m.threads.(0) false;
   (* Close the series with a final partial-window sample so the tail of the
      run is never silently dropped. *)

@@ -1,6 +1,7 @@
 (** The simulated multicore: deterministic discrete-event execution of
-    effect-coroutine "hardware threads" with Intel-RTM transactional
-    semantics.
+    coroutine "hardware threads" with Intel-RTM transactional semantics.
+    A thread runs its instructions as direct calls ({!Insn}) and parks in
+    the scheduler only when another thread must run next.
 
     Conflict detection is eager and requester-wins at 64-byte-line
     granularity: a coherence request from the running thread dooms the
@@ -17,9 +18,10 @@
     transaction arena ({!Txn}) are all indexed by line or address with no
     hashing and no per-access allocation; aborts clear transaction state in
     O(1) by epoch bump.  The scheduler's pick-min step is a lazy binary
-    heap ({!Sched}) with a run-ahead fast path that keeps the current
-    thread executing while it provably remains the (clock, tid) minimum,
-    so single-threaded runs never touch the heap.  See
+    heap ({!Sched}).  Run-ahead keeps the current thread executing, with
+    no fiber switch, while it provably remains the (clock, tid) minimum,
+    so single-threaded runs never touch the heap or park; an instruction
+    allocates nothing unless its thread yields or aborts.  See
     docs/SIMULATOR.md "Fast paths".
 
     {b Determinism:} threads are resumed strictly in (clock, tid) order;
@@ -44,10 +46,14 @@ val create :
 
 val run : t -> (int -> unit) -> unit
 (** [run m body] executes [body tid] on every thread to completion.  Thread
-    code may only interact with simulated state through {!Api} (i.e. the
-    {!Eff} effects).  Re-raises the first thread failure, after cleaning up
-    its transaction.  A machine is single-shot: create a fresh one per
-    measurement phase. *)
+    code may only interact with simulated state through {!Api}.  Re-raises
+    the first thread failure, after cleaning up its transaction; an
+    exception raised while interpreting an instruction (e.g. [xend]
+    outside a transaction) leaves at once, without entering the thread.
+    [run] makes [m] this domain's running machine for {!Insn} and restores
+    the previous one on every exit, so a run nested inside another
+    machine's thread (a {!run_single} preload, say) hands it back.  A
+    machine is single-shot: create a fresh one per measurement phase. *)
 
 val run_single :
   ?seed:int ->
@@ -59,6 +65,56 @@ val run_single :
   'a
 (** Run a one-thread machine and return the body's result.  Used for
     preloading trees and for unit tests. *)
+
+(** {2 Instructions}
+
+    The implementation behind {!Api}, which thread code calls; see there
+    for what each instruction does.  An instruction is a direct call,
+    interpreted on the calling thread's own stack against the machine
+    whose {!run} is active on this domain.  The thread parks — one private
+    effect back into the scheduler — only when it must: after every
+    instruction while anything is hooked (see below), and otherwise
+    exactly when it is no longer the unique (clock, tid) minimum of the
+    ready threads.  A doom or pending exception is raised at the
+    instruction that caused it when the thread keeps running, exactly as
+    the scheduler would deliver it on resumption.  An exception raised
+    while interpreting an instruction leaves {!run} at once, without
+    entering the thread.
+
+    {b Complexity:} an instruction that neither yields nor aborts
+    allocates nothing; a yield allocates the parked continuation and one
+    block.  Each call raises [Invalid_argument] naming it when no machine
+    is running on the domain. *)
+
+module Insn : sig
+  val read : int -> int
+  val write : int -> int -> unit
+  val cas : int -> expected:int -> desired:int -> bool
+  val faa : int -> int -> int
+  val work : int -> unit
+  val xbegin : unit -> unit
+  val xend : unit -> unit
+  val xabort : int -> unit
+  val xtest : unit -> bool
+  val tid : unit -> int
+  val clock : unit -> int
+  val rand : int -> int
+  val alloc : kind:Euno_mem.Linemap.kind -> words:int -> int
+  val free : kind:Euno_mem.Linemap.kind -> addr:int -> words:int -> unit
+
+  val reclassify :
+    from_kind:Euno_mem.Linemap.kind ->
+    to_kind:Euno_mem.Linemap.kind ->
+    words:int ->
+    unit
+
+  val op_key : int -> unit
+  val op_done : unit -> unit
+  val count : int -> int -> unit
+  val untracked_read : int -> int
+  val untracked_write : int -> int -> unit
+  val san_note : Sev.note -> unit
+end
 
 (** {2 Observation and control}
 
@@ -140,7 +196,7 @@ val set_injector : t -> injector -> unit
 val set_explorer : t -> (tid:int -> point:Explore.point -> int) -> unit
 (** Install a schedule-exploration policy consultation; see {!Explore}.
     {!run}'s scheduler loop then picks threads with an exploration scan
-    instead of the heap: after every interpreted effect the hook is asked
+    instead of the heap: after every interpreted instruction the hook is asked
     whether the thread that just ran should be parked for the returned
     number of scheduler picks (0 = keep it schedulable), letting other
     ready threads overtake it.  Parked threads are force-released when
@@ -192,7 +248,9 @@ type snapshot = {
           conflicting line *)
   s_wasted_cycles : int;  (** cycles spent in aborted transactions *)
   s_committed_cycles : int;
-  s_accesses : int;  (** interpreted effects: instruction-count proxy *)
+  s_accesses : int;
+      (** interpreted accesses (memory, atomic, RTM, allocator): the
+          instruction-count proxy *)
   s_user : int array;
   s_clock : int;
 }

@@ -4,8 +4,11 @@
     Eunomia write scheduler) flows through explicitly seeded instances so
     that every experiment replays exactly.
 
-    {b Complexity:} {!next} is a handful of integer multiplies/shifts on one
-    mutable cell; no allocation.
+    {b Complexity:} {!next}, {!int}, {!float} and {!bool} are a handful
+    of integer multiplies/shifts on an unboxed 64-bit state.  All but
+    {!float} (whose result is a boxed float) allocate nothing.  The
+    machine draws once per transactional access, so an instruction that
+    neither yields nor aborts stays allocation-free.
 
     {b Determinism:} the sequence is a pure function of the seed; the
     simulator never consults host entropy, time, or address layout. *)

@@ -23,7 +23,7 @@ type lock_kind =
   | Version (* a Masstree embedded node-version lock *)
 
 (* Announcements performed by instrumented synchronization code.  These
-   travel through the {!Eff.San_note} effect so the machine can stamp
+   travel through the [Api.san_note] instruction so the machine can stamp
    them with the announcing thread's tid and clock. *)
 type note =
   | Acquire of lock_kind * int (* kind, lock id; after the lock is won *)
@@ -72,7 +72,7 @@ and body =
 (* True only inside a sanitizer session.  Host-side flag shared by every
    machine of the arming domain (including preload machines, whose hook
    stays uninstalled): announcement sites in simulated code test it
-   before performing the San_note effect, so ordinary runs never even
+   before issuing the san_note instruction, so ordinary runs never even
    allocate a note.  Domain-local so a sanitizer cell running on one
    pool worker cannot arm the instrumentation of a plain cell running
    concurrently on another. *)

@@ -155,6 +155,12 @@ let buffer_write t addr value =
   end
   else t.vals.(i) <- value
 
+let is_buffered t addr = t.buffered > 0 && t.stamp.(find_slot t addr) = t.epoch
+
+(* Only meaningful when [is_buffered t addr]; the two are split so the
+   machine's read path tests and fetches without boxing an option. *)
+let buffered t addr = t.vals.(find_slot t addr)
+
 let buffered_value t addr =
   if t.buffered = 0 then None
   else
@@ -166,11 +172,21 @@ let iter_lines t f =
     f t.lines.(i)
   done
 
+(* Closure-free, so the machine's commit and abort paths allocate
+   nothing. *)
+let release t lt =
+  for i = 0 to t.lines_len - 1 do
+    Line_table.remove_thread lt t.lines.(i) t.tid
+  done
+
+let write_count t = t.wlog_len
+let write_addr t i = t.wlog.(i)
+
 (* Buffered writes in program order of first write; last value per addr. *)
 let iter_writes t f =
   for i = 0 to t.wlog_len - 1 do
     let addr = t.wlog.(i) in
-    f addr t.vals.(find_slot t addr)
+    f addr (buffered t addr)
   done
 
 let record_alloc t kind addr words = t.allocs <- (kind, addr, words) :: t.allocs

@@ -10,9 +10,12 @@
     for every transaction it runs.  {!reset} is O(1) — it bumps an epoch
     stamp that invalidates the buffered-write table wholesale — and no
     operation allocates on the access path (backing arrays grow
-    geometrically and are kept).  {!buffer_write} and {!buffered_value}
-    are O(1) expected (open addressing at ≤ 50% load); {!iter_lines} and
-    {!iter_writes} are linear in the lines/stores actually touched.
+    geometrically and are kept).  {!buffer_write}, {!is_buffered} and
+    {!buffered} are O(1) expected (open addressing at ≤ 50% load);
+    {!iter_lines}, {!release} and {!iter_writes} are linear in the
+    lines/stores actually touched.  Only the [iter_*] functions take a
+    closure, and {!buffered_value} boxes an option: the machine uses the
+    closure-free forms.
 
     {b Determinism:} the buffered-write table hashes addresses with a
     fixed multiplicative constant — never host-dependent state — so
@@ -48,14 +51,34 @@ val buffer_write : t -> int -> int -> unit
 (** [buffer_write t addr v]: record a speculative store; applied only at
     commit.  Last value per address wins. *)
 
+val is_buffered : t -> int -> bool
+(** Has this transaction written [addr]?  O(1) expected, no allocation. *)
+
+val buffered : t -> int -> int
+(** The speculative value this transaction wrote to [addr]
+    (read-own-writes).  Only meaningful when {!is_buffered} holds; the
+    pair lets the machine's access path avoid boxing an option. *)
+
 val buffered_value : t -> int -> int option
-(** The speculative value this transaction wrote to [addr], if any
-    (read-own-writes). *)
+(** [Some (buffered t addr)] when {!is_buffered}, else [None], in one
+    probe. *)
 
 val iter_lines : t -> (int -> unit) -> unit
 (** Every line this transaction claimed in the Line_table, in claim
     order.  A read-then-written line appears twice; release is
     idempotent so this is harmless. *)
+
+val release : t -> Line_table.t -> unit
+(** Drop this transaction's claim on every line of {!iter_lines}, without
+    allocating. *)
+
+val write_count : t -> int
+(** Distinct addresses buffered. *)
+
+val write_addr : t -> int -> int
+(** [write_addr t i] is the [i]-th buffered address in first-write
+    program order, [0 <= i < write_count t]: commit replay without a
+    closure. *)
 
 val iter_writes : t -> (int -> int -> unit) -> unit
 (** Buffered writes, first-write program order, final value per address. *)

@@ -4,6 +4,7 @@ let () =
     [
       ("mem", Test_mem.suite);
       ("sim", Test_sim.suite);
+      ("insn", Test_insn.suite);
       ("htm", Test_htm.suite);
       ("sync", Test_sync.suite);
       ("workload", Test_workload.suite);

@@ -462,6 +462,34 @@ let test_rng_uniform () =
         Alcotest.failf "bucket %d skewed: %d" i c)
     buckets
 
+(* SplitMix64's published stream (seed 0 starts 0xe220a8397b1dcdaf),
+   shifted right by 2 as [next] returns it: pins the generator's output
+   bit for bit, whatever its state representation. *)
+let test_rng_reference_stream () =
+  List.iter
+    (fun (seed, expected) ->
+      let rng = Rng.create seed in
+      Alcotest.(check (list int))
+        (Printf.sprintf "seed %d" seed)
+        expected
+        (List.map (fun _ -> Rng.next rng) expected))
+    [
+      ( 0,
+        [
+          4073552104164651883;
+          1990071630548588925;
+          121904254867886419;
+          4477402844195135611;
+        ] );
+      ( 42,
+        [
+          3419864383188818853;
+          737456523031723072;
+          1284820937115690964;
+          1587299515064563941;
+        ] );
+    ]
+
 let test_rng_float_range () =
   let rng = Rng.create 5 in
   for _ = 1 to 10_000 do
@@ -878,6 +906,8 @@ let suite =
     Alcotest.test_case "fetch-and-add" `Quick test_faa;
     Alcotest.test_case "nested txn rejected" `Quick test_nested_txn_rejected;
     Alcotest.test_case "rng uniformity" `Quick test_rng_uniform;
+    Alcotest.test_case "rng SplitMix64 reference stream" `Quick
+      test_rng_reference_stream;
     Alcotest.test_case "rng float range" `Quick test_rng_float_range;
     prop_spinlock_mutual_exclusion;
     prop_htm_counter_any_seed;
