@@ -24,4 +24,5 @@ let () =
       ("determinism", Test_determinism.suite);
       ("pool", Test_pool.suite);
       ("lint", Test_lint.suite);
+      ("report", Test_report.suite);
     ]
