@@ -304,22 +304,12 @@ let run_figures ?domains scale =
 
 (* ---------- machine-readable output ---------- *)
 
-module Json = Euno_stats.Json
 module Report = Euno_harness.Report
 
-let micro_record (name, ns) =
-  Json.Obj
-    [
-      ("schema_version", Json.Int Report.schema_version);
-      ("record", Json.Str "micro");
-      ("name", Json.Str name);
-      ("ns_per_call", Json.Float ns);
-    ]
-
 let perf_record ~metric (name, strategy, capacity_model, value) =
-  Euno_harness.Perf_gate.probe_to_json
+  Report.record Report.Perf
     {
-      Euno_harness.Perf_gate.p_name = name;
+      Report.p_name = name;
       p_strategy = strategy;
       p_capacity_model = capacity_model;
       p_metric = metric;
@@ -398,7 +388,7 @@ let () =
   Report.start_collecting ();
   if not micro_only then run_figures ?domains scale;
   let records =
-    List.map micro_record micro
+    List.map (Report.record Report.Micro) micro
     @ perf
     @ List.mapi
         (fun i r -> Report.result_to_json ~run:i r)

@@ -6,9 +6,9 @@
      euno_lint --list-rules                    # rule-id vocabulary
 
    Directories expand recursively to .ml files (skipping _build, .git and
-   lint_fixtures); cross-file rules (counter ownership, schema drift) see
-   the whole set at once, so lint the tree in one invocation.  Exits 1 on
-   any unsuppressed finding, 2 on a parse/IO error. *)
+   lint_fixtures); the cross-file rule (counter ownership) sees the whole
+   set at once, so lint the tree in one invocation.  Exits 1 on any
+   unsuppressed finding, 2 on a parse/IO error. *)
 
 module Lint = Eunolint.Lint
 module Rules = Eunolint.Rules
@@ -17,22 +17,14 @@ module Report = Euno_harness.Report
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 2) fmt
 
 let json_of_outcome (o : Lint.outcome) =
-  let active =
-    List.map
-      (fun (f : Rules.finding) ->
-        Report.lint_to_json ~file:f.file ~line:f.line ~col:f.col ~rule:f.rule
-          ~msg:f.msg ())
-      o.Lint.findings
-  in
+  let active = List.map (fun f -> (f, None)) o.Lint.findings in
   let muted =
     List.map
-      (fun (s : Lint.suppressed) ->
-        let f = s.Lint.s_finding in
-        Report.lint_to_json ~file:f.file ~line:f.line ~col:f.col ~rule:f.rule
-          ~msg:f.msg ~reason:s.Lint.s_reason ())
+      (fun s -> (s.Lint.s_finding, Some s.Lint.s_reason))
       o.Lint.suppressed
   in
-  Report.document ~experiment:"lint" (active @ muted)
+  Report.document ~experiment:"lint"
+    (List.map (Report.record Report.Lint) (active @ muted))
 
 let () =
   let json_out = ref "" in

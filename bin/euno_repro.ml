@@ -1,8 +1,11 @@
-(* Command-line entry point: regenerate any figure of the paper.
+(* Command-line entry point: regenerate any figure of the paper, or run
+   one of the chaos / san / check / crash campaigns.
 
      euno_repro fig8                    # paper-scale defaults
      euno_repro fig10 --quick          # smoke-test scale
      euno_repro all --keys 15 --ops 5000 --threads 20 --seed 7
+     euno_repro check --mutations      # hunt the seeded atomicity bugs
+     euno_repro check --repro 'tree=…' # replay one counterexample
 *)
 
 let () = Printexc.record_backtrace true
@@ -133,10 +136,35 @@ let mutations =
     value & flag
     & info [ "mutations" ]
         ~doc:
-          "For $(b,crash): validate the recovery checker against the three \
-           seeded recovery mutants instead of running the tree campaign.  \
-           Non-zero exit unless every mutant is caught with the expected \
-           finding kind and the unmutated system is clean on the same cell.")
+          "For $(b,check): hunt the seeded Testonly atomicity bugs instead of \
+           sweeping the clean trees; non-zero exit if one survives \
+           undetected.  For $(b,crash): validate the recovery checker \
+           against the three seeded recovery mutants instead of running the \
+           tree campaign; non-zero exit unless every mutant is caught with \
+           the expected finding kind and the unmutated system is clean on \
+           the same cell.")
+
+let repro =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "repro" ] ~docv:"DESCRIPTOR"
+        ~doc:
+          "For $(b,check): replay one counterexample descriptor (the \
+           $(b,repro:) line a violation prints) and exit 0 iff it \
+           reproduces.")
+
+let usage_error msg =
+  prerr_endline ("euno_repro: " ^ msg);
+  exit 2
+
+(* Write a campaign's records as one document when --json asked for it. *)
+let write_document ~experiment json records =
+  match json with
+  | Some path ->
+      Report.write_file path (Report.document ~experiment records);
+      Printf.printf "wrote %s\n%!" path
+  | None -> ()
 
 (* Crash-recovery campaign: for each tree, calibrate a fault-free
    horizon, kill the machine mid-run, then restore the latest
@@ -181,13 +209,8 @@ let run_crash quick keys_log2 ops max_threads seed json mutations domains =
        failure mid-run, then restore / replay / re-run and check";
     let cells = Dura_run.run_all ~domains cfg in
     Dura_run.print_cells cells;
-    (match json with
-    | Some path ->
-        Report.write_file path
-          (Report.document ~experiment:"crash"
-             (List.map (Dura_run.cell_to_json ~experiment:"crash") cells));
-        Printf.printf "wrote %s\n%!" path
-    | None -> ());
+    write_document ~experiment:"crash" json
+      (List.map (Report.record ~experiment:"crash" Report.Recovery) cells);
     if List.exists (fun c -> c.Dura_run.d_findings <> []) cells then exit 1
   end
 
@@ -215,13 +238,8 @@ let run_chaos quick keys_log2 ops max_threads seed json domains =
      lock-holder stall, clock skew, alloc pressure";
   let outs = Chaos.run_all ~domains cfg in
   Chaos.print_outcomes outs;
-  match json with
-  | Some path ->
-      Report.write_file path
-        (Report.document ~experiment:"chaos"
-           (List.map (Chaos.outcome_to_json ~experiment:"chaos") outs));
-      Printf.printf "wrote %s\n%!" path
-  | None -> ()
+  write_document ~experiment:"chaos" json
+    (List.map (Report.record ~experiment:"chaos" Report.Chaos) outs)
 
 (* EunoSan lint sweep: every tree under zipf 0.2/0.8/0.99 plus the chaos
    campaign, sanitizer armed.  Non-zero exit when anything is flagged. *)
@@ -237,59 +255,98 @@ let run_san quick seed json strategy capacity domains =
       ~domains ()
   in
   San_run.print stdout outs;
-  (match json with
-  | Some path ->
-      Report.write_file path
-        (Report.document ~experiment:"san"
-           (San_run.to_records ~experiment:"san" outs));
-      Printf.printf "wrote %s\n%!" path
-  | None -> ());
+  write_document ~experiment:"san" json
+    (List.mapi (fun run o -> Report.record ~experiment:"san" ~run Report.San o)
+       outs);
   if not (San_run.clean outs) then exit 1
+
+(* Replay one EunoCheck counterexample descriptor: exit 0 exactly when
+   the run is again non-linearizable. *)
+let replay_check descriptor =
+  let module Check_run = Euno_harness.Check_run in
+  let module History = Euno_harness.History in
+  let config, policy =
+    match Check_run.repro_of_string descriptor with
+    | parsed -> parsed
+    | exception Invalid_argument msg ->
+        usage_error ("bad --repro descriptor: " ^ msg)
+  in
+  Printf.printf "replaying %s\n%!" (Check_run.config_to_string config);
+  let x = Check_run.execute config ~policy in
+  match x.Check_run.x_verdict with
+  | History.Illegal core ->
+      Printf.printf "REPRODUCED: non-linearizable core\n%s\n"
+        (History.to_string core)
+  | History.Linearizable _ ->
+      Printf.printf "did not reproduce: %d events linearizable\n"
+        x.Check_run.x_events;
+      exit 1
 
 (* EunoCheck sweep: adversarial schedule exploration plus linearizability
    checking over every tree.  Non-zero exit on any non-linearizable
    history — which here would be a real tree (or checker) bug, since the
-   Testonly mutations stay off. *)
-let run_check quick seed json strategy domains =
+   Testonly mutations stay off.  With --mutations the expectation is
+   inverted: each seeded Testonly bug is hunted on the tree and strategy
+   it lives in, and one that survives undetected is the failure. *)
+let run_check quick seed json strategy mutations domains =
   let module Check_run = Euno_harness.Check_run in
-  print_endline
-    "EunoCheck sweep: adversarial schedule exploration + linearizability \
-     checking over all trees";
   let outs =
-    Check_run.sweep ~quick ~seed
-      ?strategies:(Option.map (fun s -> [ s ]) strategy)
-      ~domains ()
+    if mutations then begin
+      print_endline
+        "EunoCheck mutation campaign: every seeded Testonly bug must surface \
+         as a non-linearizable history";
+      Check_run.hunt_mutations ~seed ~domains ()
+    end
+    else begin
+      print_endline
+        "EunoCheck sweep: adversarial schedule exploration + \
+         linearizability checking over all trees";
+      Check_run.sweep ~quick ~seed
+        ?strategies:(Option.map (fun s -> [ s ]) strategy)
+        ~domains ()
+    end
   in
   Check_run.print stdout outs;
-  (match json with
-  | Some path ->
-      Report.write_file path
-        (Report.document ~experiment:"check"
-           (Check_run.to_records ~experiment:"check" outs));
-      Printf.printf "wrote %s\n%!" path
-  | None -> ());
-  if not (Check_run.clean outs) then exit 1
+  write_document ~experiment:"check" json
+    (List.mapi
+       (fun run o -> Report.record ~experiment:"check" ~run Report.Check o)
+       outs);
+  let failed =
+    if mutations then begin
+      let missed = List.filter (fun o -> o.Check_run.o_violation = None) outs in
+      List.iter
+        (fun o ->
+          Printf.printf "MISSED: mutation %s survived %d runs undetected\n"
+            o.Check_run.o_config.Check_run.mutation o.Check_run.o_runs)
+        missed;
+      missed <> []
+    end
+    else not (Check_run.clean outs)
+  in
+  if failed then exit 1
 
 let run_experiment name quick keys_log2 ops max_threads seed charts csv json
-    snapshots window strategy capacity mutations domains =
+    snapshots window strategy capacity mutations repro domains =
+  if mutations && name <> "check" && name <> "crash" then
+    usage_error "--mutations applies to check and crash only";
+  if repro <> None && name <> "check" then
+    usage_error "--repro applies to check only";
   (* Explicit --domains wins over the EUNO_DOMAINS environment knob. *)
   let domains =
     match domains with
     | Some d ->
-        if d < 1 then begin
-          prerr_endline "euno_repro: --domains must be at least 1";
-          exit 2
-        end;
+        if d < 1 then usage_error "--domains must be at least 1";
         d
     | None -> (
         match Euno_harness.Pool.default_domains () with
         | d -> d
-        | exception Invalid_argument msg ->
-            prerr_endline ("euno_repro: " ^ msg);
-            exit 2)
+        | exception Invalid_argument msg -> usage_error msg)
   in
   if name = "san" then run_san quick seed json strategy capacity domains
-  else if name = "check" then run_check quick seed json strategy domains
+  else if name = "check" then
+    match repro with
+    | Some descriptor -> replay_check descriptor
+    | None -> run_check quick seed json strategy mutations domains
   else if name = "chaos" then
     run_chaos quick keys_log2 ops max_threads seed json domains
   else if name = "crash" then
@@ -301,9 +358,7 @@ let run_experiment name quick keys_log2 ops max_threads seed charts csv json
       Figures.csv_dir := Some dir
   | None -> ());
   (match window with
-  | Some w when w < 1 ->
-      prerr_endline "euno_repro: --window must be at least 1 cycle";
-      exit 2
+  | Some w when w < 1 -> usage_error "--window must be at least 1 cycle"
   | _ -> ());
   let telemetry = json <> None || snapshots <> None in
   let base = if quick then Figures.quick_scale else Figures.default_scale in
@@ -362,6 +417,6 @@ let cmd =
     Term.(
       const run_experiment $ experiment $ quick $ keys_log2 $ ops $ max_threads
       $ seed $ charts $ csv $ json $ snapshots $ window $ strategy $ capacity
-      $ mutations $ domains)
+      $ mutations $ repro $ domains)
 
 let () = exit (Cmd.eval cmd)

@@ -19,14 +19,12 @@ module Plan = Euno_fault.Plan
 module Machine = Euno_sim.Machine
 module Cost = Euno_sim.Cost
 module Api = Euno_sim.Api
-module Abort = Euno_sim.Abort
 module Rng = Euno_sim.Rng
 module Memory = Euno_mem.Memory
 module Linemap = Euno_mem.Linemap
 module Alloc = Euno_mem.Alloc
 module Barrier = Euno_sync.Barrier
 module Htm = Euno_htm.Htm
-module Json = Euno_stats.Json
 
 type config = {
   threads : int;
@@ -232,11 +230,11 @@ let split_phases ~span ~work_end ~samples =
      fault phase would fake a throughput collapse that never happened. *)
   let ws =
     List.filter
-      (fun w -> w.Report.w_start < work_end)
-      (Report.windows_of_snapshots samples)
+      (fun w -> w.Runner.w_start < work_end)
+      (Runner.windows_of_snapshots samples)
   in
   let add (ops, cyc) w =
-    (ops + w.Report.w_ops, cyc + (w.Report.w_end - w.Report.w_start))
+    (ops + w.Runner.w_ops, cyc + (w.Runner.w_end - w.Runner.w_start))
   in
   match span with
   | None ->
@@ -247,8 +245,8 @@ let split_phases ~span ~work_end ~samples =
       let clean, fault, after =
         List.fold_left
           (fun (c, f, a) w ->
-            if w.Report.w_end <= f0 then (add c w, f, a)
-            else if w.Report.w_start >= f1 then (c, f, add a w)
+            if w.Runner.w_end <= f0 then (add c w, f, a)
+            else if w.Runner.w_start >= f1 then (c, f, add a w)
             else (c, add f w, a))
           ((0, 0), (0, 0), (0, 0))
           ws
@@ -260,8 +258,8 @@ let split_phases ~span ~work_end ~samples =
       let recovered =
         List.find_opt
           (fun w ->
-            w.Report.w_start >= f1
-            && rate (w.Report.w_ops, w.Report.w_end - w.Report.w_start)
+            w.Runner.w_start >= f1
+            && rate (w.Runner.w_ops, w.Runner.w_end - w.Runner.w_start)
                >= 0.5 *. clean_rate)
           ws
       in
@@ -271,7 +269,7 @@ let split_phases ~span ~work_end ~samples =
         ph_after = after;
         ph_recovery =
           (match recovered with
-          | Some w -> Recovered (w.Report.w_end - f1)
+          | Some w -> Recovered (w.Runner.w_end - f1)
           | None -> Unrecovered (max 0 (work_end - f1)));
       }
 
@@ -352,58 +350,6 @@ let run_all ?domains cfg =
   Pool.map ?domains (fun kind -> run_campaign kind cfg) Kv.all_kinds
 
 (* ---------- reporting ---------- *)
-
-let outcome_to_json ?experiment o =
-  Json.Obj
-    ([
-       ("schema_version", Json.Int Report.schema_version);
-       ("record", Json.Str "chaos");
-     ]
-    @ (match experiment with
-      | Some e -> [ ("experiment", Json.Str e) ]
-      | None -> [])
-    @ [
-        ("tree", Json.Str o.o_name);
-        ("threads", Json.Int o.o_threads);
-        ("seed", Json.Int o.o_seed);
-        ("horizon_cycles", Json.Int o.o_horizon);
-        ("plan", Plan.to_json o.o_plan);
-        ("ops", Json.Int o.o_ops);
-        ("failed_ops", Json.Int o.o_failed_ops);
-        ("cycles", Json.Int o.o_cycles);
-        ("mops", Json.Float o.o_mops);
-        ("mops_clean", Json.Float o.o_mops_clean);
-        ("mops_fault", Json.Float o.o_mops_fault);
-        ("mops_after", Json.Float o.o_mops_after);
-        (* recovery_cycles stays an int in both verdicts: for Unrecovered
-           it is the saturated observation horizon, and [recovered] says
-           which reading applies. *)
-        ( "recovery_cycles",
-          Json.Int
-            (match o.o_recovery with Recovered c | Unrecovered c -> c) );
-        ( "recovered",
-          Json.Bool (match o.o_recovery with Recovered _ -> true
-                                           | Unrecovered _ -> false) );
-        ("invariant_violations", Json.Int o.o_invariant_violations);
-        ("model_mismatches", Json.Int o.o_model_mismatches);
-        ("checkpoints", Json.Int o.o_checkpoints);
-        ( "aborts",
-          Json.Obj
-            (List.init (Array.length o.o_aborts) (fun i ->
-                 (Abort.class_name i, Json.Int o.o_aborts.(i)))) );
-        ( "degradation",
-          Json.Obj
-            [
-              ("fallbacks", Json.Int o.o_fallbacks);
-              ("watchdog_trips", Json.Int o.o_watchdog_trips);
-              ("starvation_backoffs", Json.Int o.o_starvation_backoffs);
-              ("convoy_events", Json.Int o.o_convoy_events);
-            ] );
-        ( "snapshots",
-          Json.List
-            (List.map Report.window_to_json
-               (Report.windows_of_snapshots o.o_snapshots)) );
-      ])
 
 let print_outcomes outs =
   Printf.printf

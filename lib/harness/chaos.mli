@@ -66,7 +66,7 @@ type recovery_verdict =
   | Recovered of int  (** cycles until the op rate was restored *)
   | Unrecovered of int  (** post-fault cycles observed without recovery *)
 
-(** One tree's campaign result. *)
+(** One tree's campaign result; {!Report.Chaos} is its ["chaos"] record. *)
 type outcome = {
   o_name : string;
   o_threads : int;
@@ -105,10 +105,6 @@ val run_all : ?domains:int -> config -> outcome list
 (** {!run_campaign} over the paper's four tree variants; [domains] > 1
     fans the per-tree cells across worker domains via {!Pool.map} with
     byte-identical outcomes in {!Kv.all_kinds} order. *)
-
-val outcome_to_json : ?experiment:string -> outcome -> Euno_stats.Json.t
-(** One schema-v1 ["chaos"] record ({!Report.validate_chaos} is the
-    contract). *)
 
 val print_outcomes : outcome list -> unit
 (** ASCII summary table. *)

@@ -13,7 +13,8 @@
    Explore.Replay — everything is deterministic, so a subset either still
    reproduces the violation or provably does not.  The survivors (usually
    one to three forced context switches) plus the run configuration make a
-   one-line repro descriptor that `euno_check --repro` replays verbatim.
+   one-line repro descriptor that `euno_repro check --repro` replays
+   verbatim.
 
    Validation is mutation-driven: the Testonly switches in Htm
    (skip_subscription) and Masstree (widen_read_window) reintroduce real
@@ -244,20 +245,36 @@ let repro_of_string s =
         | Some s -> s
         | None -> invalid_arg ("Check_run: unknown strategy " ^ name))
   in
+  let int name =
+    match int_of_string_opt (get name) with
+    | Some n -> n
+    | None -> invalid_arg ("Check_run: repro " ^ name ^ " is not an integer")
+  in
+  let mix = get "mix" and dist = get "dist" and mutation = get "mut" in
+  (* Reject what [execute] would only trip over later. *)
+  ignore (mix_of_name mix, dist_of_name dist);
+  if mutation <> "none" && not (List.mem mutation mutation_names) then
+    invalid_arg ("Check_run: unknown mutation " ^ mutation);
+  let policy =
+    match Explore.spec_of_string (get "policy") with
+    | p -> p
+    | exception Failure _ ->
+        invalid_arg ("Check_run: bad repro policy " ^ get "policy")
+  in
   let config =
     {
       tree = kind_of_name (get "tree");
-      mix = get "mix";
-      dist = get "dist";
+      mix;
+      dist;
       strategy;
-      threads = int_of_string (get "threads");
-      ops = int_of_string (get "ops");
-      keys = int_of_string (get "keys");
-      seed = int_of_string (get "seed");
-      mutation = get "mut";
+      threads = int "threads";
+      ops = int "ops";
+      keys = int "keys";
+      seed = int "seed";
+      mutation;
     }
   in
-  (config, Explore.spec_of_string (get "policy"))
+  (config, policy)
 
 (* ---------- counterexample shrinking ---------- *)
 
@@ -495,26 +512,6 @@ let print oc outcomes =
                (List.map Explore.preemption_to_string v.v_minimized));
           Printf.fprintf oc "  non-linearizable core:\n%s\n"
             (History.to_string v.v_core);
-          Printf.fprintf oc "  repro: euno_check --repro '%s'\n" v.v_repro)
-    outcomes
-
-let to_records ?experiment outcomes =
-  List.mapi
-    (fun i o ->
-      let c = o.o_config in
-      Report.check_to_json ?experiment ~run:i ~tree:(Kv.kind_name c.tree)
-        ~mix:c.mix ~dist:c.dist ~mutation:c.mutation
-        ~strategy:(Htm.strategy_name c.strategy)
-        ~capacity_model:Cost.default.Cost.capacity.Cost.cm_name
-        ~threads:c.threads ~seed:c.seed ~policy:o.o_policy ~runs:o.o_runs
-        ~events:o.o_events
-        ~violation:
-          (Option.map
-             (fun v ->
-               ( List.length v.v_fired,
-                 List.length v.v_minimized,
-                 List.length v.v_core,
-                 v.v_repro ))
-             o.o_violation)
-        ())
+          Printf.fprintf oc "  repro: euno_repro check --repro '%s'\n"
+            v.v_repro)
     outcomes

@@ -7,7 +7,7 @@
     mixes x key distributions x (policy, seed) schedules — and reports any
     [Illegal] verdict as a found atomicity bug, with the fired preemption
     set greedily shrunk to a minimal deterministic counterexample and a
-    one-line repro descriptor that [euno_check --repro] replays.
+    one-line repro descriptor that [euno_repro check --repro] replays.
 
     Validation is mutation-driven: {!hunt_mutations} flips the [Testonly]
     switches that reintroduce historical protocol bugs and must catch each
@@ -67,8 +67,10 @@ val repro_to_string : config -> Euno_sim.Explore.spec -> string
 
 val repro_of_string : string -> config * Euno_sim.Explore.spec
 (** Inverse of {!repro_to_string}; raises [Invalid_argument] on a
-    malformed descriptor.  A descriptor without a [strategy=] field (one
-    recorded before strategies existed) replays under elision. *)
+    malformed descriptor (bad syntax, a non-integer count, or an unknown
+    tree, mix, distribution, mutation or policy).  A descriptor without a
+    [strategy=] field (one recorded before strategies existed) replays
+    under elision. *)
 
 (** {1 Counterexample shrinking} *)
 
@@ -86,6 +88,7 @@ type violation = {
   v_repro : string;  (** replays the minimized counterexample *)
 }
 
+(** One campaign cell; {!Report.Check} is its ["check"] record. *)
 type outcome = {
   o_config : config;
   o_policy : string;  (** descriptor of the policy (or pool) used *)
@@ -124,7 +127,3 @@ val clean : outcome list -> bool
 (** {1 Reporting} *)
 
 val print : out_channel -> outcome list -> unit
-
-val to_records : ?experiment:string -> outcome list -> Euno_stats.Json.t list
-(** Schema-v1 ["check"] records, one per outcome
-    ({!Report.check_to_json}). *)

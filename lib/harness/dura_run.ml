@@ -44,7 +44,6 @@ module Alloc = Euno_mem.Alloc
 module Epoch = Euno_mem.Epoch
 module Barrier = Euno_sync.Barrier
 module Htm = Euno_htm.Htm
-module Json = Euno_stats.Json
 module Oplog = Euno_dura.Oplog
 module Dura = Euno_dura.Dura
 module Checker = Euno_dura.Checker
@@ -588,37 +587,6 @@ let run_mutants ?seeds ?base_seed () =
   List.map (fun m -> run_mutant ?seeds ?base_seed m) all_mutants
 
 (* ---------- reporting ---------- *)
-
-let cell_to_json ?experiment c =
-  Json.Obj
-    (Report.context_fields ?experiment ~record:"recovery" ()
-    @ [
-        ("tree", Json.Str c.d_name);
-        ("threads", Json.Int c.d_threads);
-        ("seed", Json.Int c.d_seed);
-        ("horizon_cycles", Json.Int c.d_horizon);
-        ("plan", Plan.to_json c.d_plan);
-        ("crashed", Json.Bool c.d_crashed);
-        ("crash_cycle", Json.Int c.d_crash_cycle);
-        ("restore_mode", Json.Str (restore_mode_name c.d_restore));
-        ("ops", Json.Int c.d_ops);
-        ("failed_ops", Json.Int c.d_failed_ops);
-        ("snapshots_taken", Json.Int c.d_snapshots_taken);
-        ("snapshot_lsn", Json.Int c.d_snapshot_lsn);
-        ("log_len", Json.Int c.d_log_len);
-        ("flushed_lsn", Json.Int c.d_flushed_lsn);
-        ("lost_suffix", Json.Int c.d_lost);
-        ("replayed", Json.Int c.d_replayed);
-        ("rerun", Json.Int c.d_rerun);
-        ("swept_locks", Json.Int c.d_swept_locks);
-        ("stuck_recovery_ops", Json.Int c.d_stuck_ops);
-        ("recovery_cycles", Json.Int c.d_recovery_cycles);
-        ("work_bound_cycles", Json.Int c.d_work_bound);
-        ("recovered", Json.Bool (Checker.clean c.d_findings));
-        ("findings_total", Json.Int (List.length c.d_findings));
-        ( "findings",
-          Json.List (List.map Checker.finding_to_json c.d_findings) );
-      ])
 
 let print_cells cells =
   Printf.printf "%-14s %8s %6s %5s %5s %5s %5s %5s %9s %9s %s\n" "tree" "ops"

@@ -56,7 +56,8 @@ type config = {
 val default_config : config
 val quick_config : config
 
-(** One crash-recovery cell result. *)
+(** One crash-recovery cell result; {!Report.Recovery} is its
+    ["recovery"] record. *)
 type cell = {
   d_name : string;
   d_threads : int;
@@ -126,10 +127,6 @@ val run_mutant : ?seeds:int -> ?base_seed:int -> mutant -> mutant_outcome
 val run_mutants : ?seeds:int -> ?base_seed:int -> unit -> mutant_outcome list
 
 (** {1 Reporting} *)
-
-val cell_to_json : ?experiment:string -> cell -> Euno_stats.Json.t
-(** One schema-v1 ["recovery"] record ({!Report.validate_recovery} is the
-    contract). *)
 
 val print_cells : cell list -> unit
 val print_mutants : mutant_outcome list -> unit

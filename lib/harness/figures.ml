@@ -854,7 +854,8 @@ let strategy_sweep ?domains scale =
     in
     List.iter2
       (fun (figure, _, theta, _, _) r ->
-        sweep_acc := Report.sweep_to_json ~figure ~theta r :: !sweep_acc)
+        sweep_acc :=
+          Report.record Report.Sweep (figure, theta, r) :: !sweep_acc)
       cells rs;
     chunk (List.length sweep_combos) rs
   in

@@ -23,7 +23,7 @@ let direction_of_metric = function
   | "sim_ops_per_wall_sec" | "campaign_cells_per_wall_sec" -> Higher_is_better
   | "ns_per_call" | _ -> Lower_is_better
 
-type probe = {
+type probe = Report.probe = {
   p_name : string;
   p_strategy : string;
   p_capacity_model : string;
@@ -48,7 +48,7 @@ let probes_of_document json =
         | r :: rest -> (
             match Json.member "record" r with
             | Some (Json.Str "perf") -> (
-                match Report.validate_perf r with
+                match Report.validate_record r with
                 | Error e -> Error e
                 | Ok () ->
                     let str f = Option.get (Json.as_string (Option.get (Json.member f r))) in
@@ -122,19 +122,8 @@ let compare_probes ~band ~baseline ~current =
 
 let all_ok = List.for_all (fun c -> c.c_ok)
 
-let probe_to_json p =
-  Json.Obj
-    [
-      ("schema_version", Json.Int Report.schema_version);
-      ("record", Json.Str "perf");
-      ("name", Json.Str p.p_name);
-      ("strategy", Json.Str p.p_strategy);
-      ("capacity_model", Json.Str p.p_capacity_model);
-      ("metric", Json.Str p.p_metric);
-      ("value", Json.Float p.p_value);
-    ]
-
 (* A baseline file is itself a schema-versioned document holding only perf
    records, so euno_schema_check validates it too. *)
 let baseline_document probes =
-  Report.document ~experiment:"perf-baseline" (List.map probe_to_json probes)
+  Report.document ~experiment:"perf-baseline"
+    (List.map (Report.record Report.Perf) probes)

@@ -13,7 +13,7 @@ val direction_of_metric : string -> direction
     ["sim_ops_per_wall_sec"] and ["campaign_cells_per_wall_sec"] are
     higher-is-better. *)
 
-type probe = {
+type probe = Report.probe = {
   p_name : string;
   p_strategy : string;  (** fallback strategy the probe ran under *)
   p_capacity_model : string;  (** capacity model the probe ran under *)
@@ -45,8 +45,6 @@ val compare_probes :
     @raise Invalid_argument when [band < 1.0]. *)
 
 val all_ok : comparison list -> bool
-
-val probe_to_json : probe -> Json.t
 
 val baseline_document : probe list -> Json.t
 (** Wrap probes as a schema-versioned document suitable for committing as

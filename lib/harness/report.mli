@@ -1,135 +1,92 @@
-(** Machine-readable telemetry: schema-versioned JSON records for runner
-    results, seed aggregates and windowed counter time series.
+(** Machine-readable telemetry: the schema-versioned JSON wire format.
 
-    The figure CLI ([euno_repro <fig> --json out.json --snapshots out.jsonl])
-    and the bench driver ([BENCH_results.json]) write these records so perf
-    trajectories and figure shapes can be diffed and plotted rather than
-    eyeballed from the ASCII tables.  Every document and every JSONL line
-    carries [schema_version]. *)
+    The figure CLI ([euno_repro <fig> --json out.json --snapshots
+    out.jsonl]), the campaign drivers, [euno_lint] and the bench driver
+    ([BENCH_results.json]) write these records so perf trajectories and
+    figure shapes can be diffed and plotted rather than eyeballed from the
+    ASCII tables.  Every document and every JSONL line carries
+    [schema_version].
+
+    This is the only module that knows the format.  Each record kind is
+    declared once, as an ordered list of typed fields (JSON name, type,
+    whether it may be absent, closed vocabulary, and how to read it from
+    the OCaml value); {!record} and {!validate_record} are both derived
+    from that declaration. *)
 
 module Json = Euno_stats.Json
 
 val schema_version : int
 (** Version stamped on (and required of) every record.  Currently 1. *)
 
-val user_counter_label : int -> string
-(** Telemetry label for a user-counter index, from the machine's
-    counter registry ({!Euno_sim.Machine.register_user_counters});
-    ["userN"] for unclaimed indices. *)
+(** {1 Record kinds} *)
 
-(** {1 Windowed time series} *)
-
-(** Per-window deltas between consecutive cumulative snapshots of
-    {!Runner.result.r_snapshots} — the time-resolved view in which
-    contention collapse shows up as a rising aborts/op series. *)
-type window = {
-  w_start : int;  (** window start, simulated cycles *)
-  w_end : int;
-  w_ops : int;
-  w_commits : int;
-  w_aborts : int array;  (** by {!Euno_sim.Abort.class_index} *)
-  w_fallbacks : int;
-  w_lock_wait_cycles : int;
-  w_wasted_cycles : int;
-  w_accesses : int;
+(** One perf-gate probe: [name], the [strategy] and [capacity_model] it
+    ran under, [metric] (unit and better-direction, e.g. ["ns_per_call"]
+    lower-is-better or ["sim_ops_per_wall_sec"] higher-is-better) and
+    [value].  Re-exported as {!Perf_gate.probe}. *)
+type probe = {
+  p_name : string;
+  p_strategy : string;
+  p_capacity_model : string;
+  p_metric : string;
+  p_value : float;
 }
 
-val windows_of_snapshots :
-  (int * Euno_sim.Machine.snapshot) list -> window list
+(** The closed set of record kinds, indexed by the value each one
+    serializes.  The discriminator and the declaration lookup are
+    exhaustive matches on it, so a kind without a declaration does not
+    compile. *)
+type _ kind =
+  | Result : Runner.result kind
+      (** one run: throughput, abort classes, wasted cycles, latency
+          percentiles, memory footprint and the embedded window series *)
+  | Window : (Runner.result * Runner.window) kind
+      (** one sampling window of a run, self-describing for JSONL *)
+  | Sweep : (string * float * Runner.result) kind
+      (** one strategy-sweep cell: figure, theta and the run *)
+  | San : San_run.outcome kind  (** the EunoSan verdict of one run *)
+  | Check : Check_run.outcome kind
+      (** one EunoCheck campaign cell; a nested [violation] object (with
+          the shrunk counterexample's sizes and repro line) is present
+          exactly when [violations] is non-zero *)
+  | Chaos : Chaos.outcome kind  (** one tree's fault-injection campaign *)
+  | Recovery : Dura_run.cell kind  (** one crash-recovery cell *)
+  | Perf : probe kind  (** one perf-gate probe *)
+  | Micro : (string * float) kind  (** one micro timing: name, ns/call *)
+  | Lint : (Eunolint.Rules.finding * string option) kind
+      (** one EunoLint finding and, when an allow-directive muted it, the
+          directive's reason; the rule-id must be in
+          {!Eunolint.Lint.rule_names}, and [reason] is present exactly
+          when [suppressed] is true *)
 
-val window_aborts_total : window -> int
-val window_to_json : window -> Json.t
+type any_kind = Kind : 'a kind -> any_kind
 
-(** {1 Records} *)
+val kinds : any_kind list
+(** Every kind, as {!validate_record} looks them up by name. *)
 
-val context_fields :
-  ?experiment:string ->
-  ?run:int ->
-  record:string ->
-  unit ->
-  (string * Json.t) list
-(** The standard record header — [schema_version], the ["record"]
-    discriminator, and optional experiment/run context — for harnesses
-    that assemble their own record bodies. *)
+val kind_name : 'a kind -> string
+(** The ["record"] discriminator. *)
+
+val required_fields : 'a kind -> string list
+(** The kind's declared top-level fields that may not be absent, in
+    emission order (the header's [schema_version] and ["record"] are not
+    included). *)
+
+(** {1 Emitting} *)
+
+val record : ?experiment:string -> ?run:int -> 'a kind -> 'a -> Json.t
+(** One record: [schema_version], the ["record"] discriminator, then
+    [experiment] and [run] if given, then the kind's declared fields in
+    order.  [run] is the record's position in the experiment's run
+    sequence, which is how sweep points (e.g. fig1's thetas) are told
+    apart downstream. *)
 
 val result_to_json : ?experiment:string -> ?run:int -> Runner.result -> Json.t
-(** One ["result"] record: throughput, abort classes, wasted cycles,
-    latency percentiles, memory footprint and embedded window series.
-    [run] is the record's position in the experiment's run sequence, which
-    is how sweep points (e.g. fig1's thetas) are told apart downstream. *)
-
-val aggregate_to_json : ?experiment:string -> Runner.aggregate -> Json.t
-
-val san_to_json :
-  ?experiment:string ->
-  ?run:int ->
-  tree:string ->
-  workload:string ->
-  strategy:string ->
-  capacity_model:string ->
-  threads:int ->
-  seed:int ->
-  Euno_san.San.summary ->
-  Json.t
-(** One ["san"] record: the EunoSan verdict of a sanitized run — event
-    count, finding total, and the capped finding list (kind, subject,
-    announcing thread, logical clock, detail). *)
-
-val check_to_json :
-  ?experiment:string ->
-  ?run:int ->
-  tree:string ->
-  mix:string ->
-  dist:string ->
-  mutation:string ->
-  strategy:string ->
-  capacity_model:string ->
-  threads:int ->
-  seed:int ->
-  policy:string ->
-  runs:int ->
-  events:int ->
-  violation:(int * int * int * string) option ->
-  unit ->
-  Json.t
-(** One ["check"] record: an EunoCheck campaign cell — the tree, op mix,
-    distribution and mutation explored, the (policy, seed) budget spent,
-    the history events checked, and on a violation the counterexample
-    sizes (preemptions fired, preemptions after shrinking, core events)
-    plus the one-line repro descriptor. *)
-
-val sweep_to_json :
-  ?experiment:string ->
-  ?run:int ->
-  figure:string ->
-  theta:float ->
-  Runner.result ->
-  Json.t
-(** One ["sweep"] record: a strategy-campaign cell — the figure cell it
-    belongs to ([figure], tree, [theta], threads), the strategy and
-    capacity model it ran under, and the flattened metrics the per-figure
-    comparison tables read (throughput, aborts, fallbacks, lock wait,
-    per-path commit and helping rates). *)
-
-val lint_to_json :
-  ?experiment:string ->
-  file:string ->
-  line:int ->
-  col:int ->
-  rule:string ->
-  msg:string ->
-  ?reason:string ->
-  unit ->
-  Json.t
-(** One ["lint"] record: an EunoLint finding — source coordinate
-    (file/line/col), the rule-id, the message, and [suppressed]/[reason]
-    when a reasoned allow-directive muted it ([bin/euno_lint --json]
-    emits both active and suppressed findings so the CI artifact is the
-    complete audit). *)
+(** [record Result]. *)
 
 val snapshot_lines : ?experiment:string -> ?run:int -> Runner.result -> Json.t list
-(** One self-describing ["window"] record per sampling window (for JSONL
-    export); empty when the run had no [snapshot_window]. *)
+(** One ["window"] record per sampling window (for JSONL export); empty
+    when the run had no [snapshot_window]. *)
 
 val document : experiment:string -> Json.t list -> Json.t
 (** Wrap records in the top-level schema-versioned document. *)
@@ -142,50 +99,18 @@ val write_jsonl : string -> Json.t list -> unit
 
 (** {1 Validation}
 
-    Field-presence/type checks over our own output, used by the CI schema
-    smoke check and the round-trip tests. *)
-
-val validate_result : Json.t -> (unit, string) result
-val validate_window : Json.t -> (unit, string) result
-val validate_aggregate : Json.t -> (unit, string) result
-
-val validate_chaos : Json.t -> (unit, string) result
-(** Contract for the ["chaos"] records {!Chaos.outcome_to_json} emits. *)
-
-val validate_recovery : Json.t -> (unit, string) result
-(** Contract for the ["recovery"] records {!Dura_run.outcome_to_json}
-    emits: one per crash cell — durability state at the crash (snapshot /
-    log positions, lost suffix), recovery work (replayed, re-run, stuck
-    ops, cycles vs. the linear bound) and the checker's findings. *)
-
-val validate_perf : Json.t -> (unit, string) result
-(** Contract for the ["perf"] probe records the bench driver emits and the
-    [euno_perf_check] regression gate consumes: [name], [strategy],
-    [capacity_model], [metric] (unit and better-direction, e.g.
-    ["ns_per_call"] lower-is-better or ["sim_ops_per_wall_sec"]
-    higher-is-better) and numeric [value].  The strategy and
-    capacity-model names must be ones the binaries accept. *)
-
-val validate_san : Json.t -> (unit, string) result
-(** Contract for the ["san"] records {!san_to_json} emits. *)
-
-val validate_check : Json.t -> (unit, string) result
-(** Contract for the ["check"] records {!check_to_json} emits. *)
-
-val validate_sweep : Json.t -> (unit, string) result
-(** Contract for the ["sweep"] records {!sweep_to_json} emits: figure cell
-    coordinates, a strategy/capacity-model pair the binaries accept, and
-    the flattened metric set. *)
-
-val validate_lint : Json.t -> (unit, string) result
-(** Contract for the ["lint"] records {!lint_to_json} emits: the rule-id
-    must be in {!Eunolint.Lint.rule_names}, and [reason] must be
-    present exactly when [suppressed] is true. *)
+    Checks our own output against the declarations: every declared field
+    must be present (unless optional) with its declared JSON type and,
+    for closed vocabularies, a known value; nested objects are checked
+    the same way.  Undeclared extra fields are accepted.  Used by
+    [euno_schema_check], the CI smoke checks and the round-trip tests. *)
 
 val validate_record : Json.t -> (unit, string) result
-(** Dispatch on the ["record"] discriminator. *)
+(** Look up the kind by its ["record"] discriminator and check the
+    header and the kind's declaration. *)
 
 val validate_document : Json.t -> (unit, string) result
+(** The document header, then {!validate_record} on every record. *)
 
 (** {1 Collection}
 

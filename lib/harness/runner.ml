@@ -385,3 +385,60 @@ let class_subscription r =
 let class_other r =
   r.r_aborts_per_op -. class_true r -. class_false_record r
   -. class_false_meta r -. class_subscription r
+
+(* ---------- windowed time series ---------- *)
+
+(* Per-window deltas between consecutive cumulative snapshots: the
+   time-resolved view in which the lemming-effect ignition and the
+   theta > 0.6 collapse onset are visible as a rising aborts/op series
+   rather than a single end-of-run average. *)
+type window = {
+  w_start : int;
+  w_end : int;
+  w_ops : int;
+  w_commits : int;
+  w_aborts : int array;
+  w_fallbacks : int;
+  w_lock_wait_cycles : int;
+  w_wasted_cycles : int;
+  w_accesses : int;
+}
+
+let windows_of_snapshots snaps =
+  let zero = ([||] : int array) in
+  let delta_aborts prev cur =
+    Array.mapi
+      (fun i v -> v - (if prev == zero || Array.length prev = 0 then 0 else prev.(i)))
+      cur
+  in
+  let rec go prev_clock (prev : Machine.snapshot option) acc = function
+    | [] -> List.rev acc
+    | (clock, (s : Machine.snapshot)) :: rest ->
+        let p_ops, p_commits, p_aborts, p_user, p_wasted, p_accesses =
+          match prev with
+          | None -> (0, 0, zero, [||], 0, 0)
+          | Some p ->
+              (p.Machine.s_ops, p.s_commits, p.s_aborts, p.s_user,
+               p.s_wasted_cycles, p.s_accesses)
+        in
+        let user i arr = if Array.length arr = 0 then 0 else arr.(i) in
+        let w =
+          {
+            w_start = prev_clock;
+            w_end = clock;
+            w_ops = s.Machine.s_ops - p_ops;
+            w_commits = s.s_commits - p_commits;
+            w_aborts = delta_aborts p_aborts s.s_aborts;
+            w_fallbacks =
+              user Euno_htm.Htm.Counter.fallbacks s.s_user
+              - user Euno_htm.Htm.Counter.fallbacks p_user;
+            w_lock_wait_cycles =
+              user Euno_htm.Htm.Counter.lock_wait_cycles s.s_user
+              - user Euno_htm.Htm.Counter.lock_wait_cycles p_user;
+            w_wasted_cycles = s.s_wasted_cycles - p_wasted;
+            w_accesses = s.s_accesses - p_accesses;
+          }
+        in
+        go clock (Some s) (w :: acc) rest
+  in
+  go 0 None [] snaps

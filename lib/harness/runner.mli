@@ -142,3 +142,23 @@ val class_subscription : result -> float
 
 val class_other : result -> float
 (** Capacity, explicit, spurious and timer aborts, per op. *)
+
+(** {1 Windowed time series} *)
+
+(** Per-window deltas between consecutive cumulative snapshots of
+    {!result.r_snapshots} — the time-resolved view in which contention
+    collapse shows up as a rising aborts/op series. *)
+type window = {
+  w_start : int;  (** window start, simulated cycles *)
+  w_end : int;
+  w_ops : int;
+  w_commits : int;
+  w_aborts : int array;  (** by {!Euno_sim.Abort.class_index} *)
+  w_fallbacks : int;
+  w_lock_wait_cycles : int;
+  w_wasted_cycles : int;
+  w_accesses : int;
+}
+
+val windows_of_snapshots :
+  (int * Euno_sim.Machine.snapshot) list -> window list

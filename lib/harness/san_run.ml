@@ -142,12 +142,3 @@ let print oc outcomes =
     outcomes;
   if clean outcomes then Printf.fprintf oc "san: clean\n"
   else Printf.fprintf oc "san: FINDINGS PRESENT\n"
-
-let to_records ?experiment outcomes =
-  List.mapi
-    (fun i o ->
-      Report.san_to_json ?experiment ~run:i ~tree:o.o_tree
-        ~workload:o.o_workload ~strategy:o.o_strategy
-        ~capacity_model:o.o_capacity_model ~threads:o.o_threads ~seed:o.o_seed
-        o.o_summary)
-    outcomes

@@ -5,9 +5,10 @@
     more under the stock chaos campaign ({!Euno_fault.Plan.campaign},
     horizon taken from the tree's own zipf-0.8 run), each with the
     sanitizer armed and post-run invariant checks on.  A healthy repo
-    reports zero findings everywhere; [bin/euno_san] and the
-    [euno_repro san] subcommand are thin shells over this module. *)
+    reports zero findings everywhere; the [euno_repro san] subcommand is
+    a thin shell over this module. *)
 
+(** One sanitized run; {!Report.San} is its ["san"] record. *)
 type outcome = {
   o_tree : string;
   o_workload : string;  (** e.g. ["zipf-0.80"] or ["chaos-zipf-0.80"] *)
@@ -43,7 +44,3 @@ val clean : outcome list -> bool
 
 val print : out_channel -> outcome list -> unit
 (** Human-readable verdict table; findings (if any) listed underneath. *)
-
-val to_records :
-  ?experiment:string -> outcome list -> Euno_stats.Json.t list
-(** One schema-v1 ["san"] record per outcome, [run]-indexed in order. *)

@@ -5,7 +5,7 @@
     violations only on schedules that actually run; this lint enforces
     the statically-checkable shapes — lock release on every exit path,
     release notes before unlocking stores, counter-registry ownership,
-    determinism hygiene, schema dispatch completeness — on every build.
+    determinism hygiene, domain-shared state — on every build.
     See docs/LINT.md for the rule catalog.
 
     {b Complexity} O(source bytes + AST nodes) per file.

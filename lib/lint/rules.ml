@@ -21,7 +21,6 @@ let rule_names =
     "lock-paths";
     "san-release-order";
     "counter-ownership";
-    "schema-drift";
     "domain-shared-state";
     "suppression";
   ]
@@ -894,93 +893,6 @@ let rule_domain_state fu acc =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Rule: schema-drift                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let constructed_kinds fu =
-  let out = ref [] in
-  iter_exprs
-    (fun e ->
-      match e.pexp_desc with
-      | Pexp_apply (_, args) ->
-          List.iter
-            (fun (l, a) ->
-              match (l, a.pexp_desc) with
-              | ( Asttypes.Labelled "record",
-                  Pexp_constant (Pconst_string (s, _, _)) ) ->
-                  out := (s, a.pexp_loc) :: !out
-              | _ -> ())
-            args
-      | Pexp_tuple
-          ({ pexp_desc = Pexp_constant (Pconst_string ("record", _, _)); _ }
-           :: rest) ->
-          let kind = ref None in
-          List.iter
-            (iter_exprs_in_expr (fun e ->
-                 match e.pexp_desc with
-                 | Pexp_constant (Pconst_string (s, _, _)) when !kind = None ->
-                     kind := Some s
-                 | _ -> ()))
-            rest;
-          Option.iter (fun s -> out := (s, e.pexp_loc) :: !out) !kind
-      | _ -> ())
-    fu.fu_ast;
-  List.rev !out
-
-let dispatch_kinds fu =
-  let out = ref SSet.empty in
-  let collect_pats e0 =
-    let it =
-      {
-        Ast_iterator.default_iterator with
-        pat =
-          (fun self p ->
-            (match p.ppat_desc with
-            | Ppat_constant (Pconst_string (s, _, _)) -> out := SSet.add s !out
-            | _ -> ());
-            Ast_iterator.default_iterator.pat self p);
-      }
-    in
-    it.expr it e0
-  in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      value_binding =
-        (fun self vb ->
-          (match vb.pvb_pat.ppat_desc with
-          | Ppat_var { txt = "validate_record"; _ } -> collect_pats vb.pvb_expr
-          | _ -> ());
-          Ast_iterator.default_iterator.value_binding self vb);
-    }
-  in
-  it.structure it fu.fu_ast;
-  !out
-
-let rule_schema files acc =
-  let dispatch =
-    List.fold_left (fun s fu -> SSet.union s (dispatch_kinds fu)) SSet.empty
-      files
-  in
-  if SSet.is_empty dispatch then acc
-  else
-    List.fold_left
-      (fun acc fu ->
-        List.fold_left
-          (fun acc (kind, loc) ->
-            if SSet.mem kind dispatch then acc
-            else
-              mk fu loc "schema-drift"
-                (Printf.sprintf
-                   "record kind \"%s\" is constructed here but \
-                    validate_record has no dispatch arm for it; \
-                    euno_schema_check would reject the emitted document"
-                   kind)
-              :: acc)
-          acc (constructed_kinds fu))
-      acc files
-
-(* ------------------------------------------------------------------ *)
 
 let run files =
   let acc = [] in
@@ -988,6 +900,4 @@ let run files =
   let acc = List.fold_left (fun acc fu -> rule_lock_paths fu acc) acc files in
   let acc = List.fold_left (fun acc fu -> rule_san_order fu acc) acc files in
   let acc = List.fold_left (fun acc fu -> rule_domain_state fu acc) acc files in
-  let acc = rule_counters files acc in
-  let acc = rule_schema files acc in
-  acc
+  rule_counters files acc

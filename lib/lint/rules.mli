@@ -1,4 +1,4 @@
-(** The EunoLint rule set: six AST-level checks over the repo's own
+(** The EunoLint rule set: five AST-level checks over the repo's own
     invariants (see docs/LINT.md for the catalog and the historical bug
     behind each rule).
 
@@ -30,5 +30,5 @@ val rule_names : string list
 
 val run : file_unit list -> finding list
 (** All raw findings over the file set, unsorted and unsuppressed.
-    Cross-file rules (counter ownership collisions, schema drift) see
-    the whole set at once, so lint the tree in one invocation. *)
+    The cross-file rule (counter ownership collisions) sees the whole
+    set at once, so lint the tree in one invocation. *)

@@ -272,13 +272,37 @@ let test_unmutated_sweep_clean () =
             v.Check_run.v_repro)
     outs
 
-(* Repro descriptors round-trip through their string form. *)
+(* Repro descriptors round-trip through their string form, and a
+   malformed one is rejected with Invalid_argument when parsed, not by
+   some other exception when replayed. *)
 let test_repro_roundtrip () =
   let config = Check_run.base_config Kv.Masstree in
   let policy = Explore.Pct { depth = 4; span = 120; horizon = 2500 } in
   let s = Check_run.repro_to_string config policy in
   let config', policy' = Check_run.repro_of_string s in
-  check_bool "repro round-trips" true (config = config' && policy = policy')
+  check_bool "repro round-trips" true (config = config' && policy = policy');
+  let replace ~sub ~by s =
+    let n = String.length sub in
+    let rec find i =
+      if String.sub s i n = sub then i else find (i + 1)
+    in
+    let i = find 0 in
+    String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+  in
+  List.iter
+    (fun (sub, by) ->
+      let bad = replace ~sub ~by s in
+      match Check_run.repro_of_string bad with
+      | _ -> Alcotest.failf "accepted %S" bad
+      | exception Invalid_argument _ -> ())
+    [
+      ("threads=4", "threads=four");
+      ("mix=point", "mix=pointy");
+      ("dist=zipf", "dist=pareto");
+      ("mut=none", "mut=bogus");
+      ("depth=4", "depth=x");
+      (";", "");
+    ]
 
 (* ---------- differential oracle ---------- *)
 

@@ -7,8 +7,6 @@ module Oplog = Euno_dura.Oplog
 module Checker = Euno_dura.Checker
 module Dura_run = Euno_harness.Dura_run
 module Kv = Euno_harness.Kv
-module Report = Euno_harness.Report
-module Json = Euno_stats.Json
 
 (* ---------- the committed-op log ---------- *)
 
@@ -174,23 +172,6 @@ let test_pipeline_in_place_restore () =
   check_int "no wedged recovery ops" 0 c.Dura_run.d_stuck_ops;
   check_bool "in-place recovery clean" true (c.Dura_run.d_findings = [])
 
-let test_recovery_record_schema () =
-  let c = Dura_run.run_campaign Kv.Htm_bptree tiny_config in
-  let json = Dura_run.cell_to_json ~experiment:"crash" c in
-  (match Report.validate_record json with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "recovery record invalid: %s" e);
-  let stripped =
-    match json with
-    | Json.Obj fields ->
-        Json.Obj (List.filter (fun (k, _) -> k <> "snapshot_lsn") fields)
-    | j -> j
-  in
-  match Report.validate_record stripped with
-  | Error _ -> ()
-  | Ok () ->
-      Alcotest.fail "validator accepted a recovery record without snapshot_lsn"
-
 (* ---------- mutation validation ---------- *)
 
 (* The three seeded recovery bugs must each be caught with the expected
@@ -228,8 +209,6 @@ let suite =
       `Quick test_pipeline_crash_recovers_deterministically;
     Alcotest.test_case "pipeline: in-place restore over crashed state" `Quick
       test_pipeline_in_place_restore;
-    Alcotest.test_case "recovery record validates" `Quick
-      test_recovery_record_schema;
     Alcotest.test_case "recovery mutants caught, fixed system clean" `Slow
       test_mutants_caught_and_clean;
   ]

@@ -8,7 +8,6 @@ module Htm = Euno_htm.Htm
 module Plan = Euno_fault.Plan
 module Chaos = Euno_harness.Chaos
 module Kv = Euno_harness.Kv
-module Report = Euno_harness.Report
 module Json = Euno_stats.Json
 
 let machine ?(threads = 1) ?(seed = 1) w injector =
@@ -409,26 +408,6 @@ let test_chaos_deterministic () =
   check_int "no violations" 0 r1.Chaos.raw_violations;
   check_int "no mismatches" 0 r1.Chaos.raw_mismatches
 
-let test_chaos_record_schema () =
-  let out =
-    Chaos.run_campaign (Kv.Euno Eunomia.Config.full)
-      { tiny_config with Chaos.ops_per_thread = 80 }
-  in
-  let json = Chaos.outcome_to_json ~experiment:"chaos" out in
-  (match Report.validate_record json with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "chaos record invalid: %s" e);
-  (* and the validator really checks: drop a required field *)
-  let stripped =
-    match json with
-    | Json.Obj fields ->
-        Json.Obj (List.filter (fun (k, _) -> k <> "plan") fields)
-    | j -> j
-  in
-  match Report.validate_record stripped with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "validator accepted a chaos record without a plan"
-
 (* Under random fault plans, every tree still agrees with the host model
    and passes its structural validator at every checkpoint: the central
    robustness property of the campaign. *)
@@ -557,7 +536,6 @@ let suite =
       test_crash_composition_last_wins;
     Alcotest.test_case "chaos run is deterministic" `Quick
       test_chaos_deterministic;
-    Alcotest.test_case "chaos record validates" `Quick test_chaos_record_schema;
     qcheck_random_plans;
     Alcotest.test_case "lemming storm: dbx collapses, polite recovers" `Quick
       test_lemming_storm_regression;

@@ -250,21 +250,21 @@ let run_with_snapshots () =
 
 let test_snapshots_cover_run () =
   let r = run_with_snapshots () in
-  let windows = Report.windows_of_snapshots r.Runner.r_snapshots in
+  let windows = Runner.windows_of_snapshots r.Runner.r_snapshots in
   check_bool "several windows" true (List.length windows > 1);
   (* per-window deltas are non-negative and sum back to the run totals *)
   List.iter
     (fun w ->
-      check_bool "ops >= 0" true (w.Report.w_ops >= 0);
-      check_bool "commits >= 0" true (w.Report.w_commits >= 0);
+      check_bool "ops >= 0" true (w.Runner.w_ops >= 0);
+      check_bool "commits >= 0" true (w.Runner.w_commits >= 0);
       check_bool "aborts >= 0" true
-        (Array.for_all (fun v -> v >= 0) w.Report.w_aborts);
-      check_bool "window ordered" true (w.Report.w_start < w.Report.w_end))
+        (Array.for_all (fun v -> v >= 0) w.Runner.w_aborts);
+      check_bool "window ordered" true (w.Runner.w_start < w.Runner.w_end))
     windows;
   check_int "window ops sum to total" r.Runner.r_ops
-    (List.fold_left (fun acc w -> acc + w.Report.w_ops) 0 windows);
+    (List.fold_left (fun acc w -> acc + w.Runner.w_ops) 0 windows);
   check_int "windows tile the run" r.Runner.r_cycles
-    (List.fold_left (fun acc w -> max acc w.Report.w_end) 0 windows)
+    (List.fold_left (fun acc w -> max acc w.Runner.w_end) 0 windows)
 
 let test_no_snapshots_by_default () =
   let r = Runner.run Kv.Htm_bptree (small_workload ()) (small_setup ()) in
@@ -306,14 +306,6 @@ let test_snapshot_lines_valid () =
           | Ok () -> ()
           | Error e -> Alcotest.failf "schema: %s" e))
     lines
-
-let test_aggregate_json_valid () =
-  let a =
-    Runner.run_many ~seeds:2 Kv.Htm_bptree (small_workload ()) (small_setup ())
-  in
-  match Report.validate_aggregate (Report.aggregate_to_json a) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "schema: %s" e
 
 let test_collector_observes_every_run () =
   Report.start_collecting ();
@@ -439,7 +431,6 @@ let suite =
       test_result_json_valid_and_parses;
     Alcotest.test_case "snapshot JSONL lines valid" `Quick
       test_snapshot_lines_valid;
-    Alcotest.test_case "aggregate JSON valid" `Quick test_aggregate_json_valid;
     Alcotest.test_case "collector observes every run" `Quick
       test_collector_observes_every_run;
     Alcotest.test_case "schema version enforced" `Quick

@@ -22,7 +22,6 @@ let fixture_files =
     "fix_lock_branch.ml";
     "fix_lock_leak_pr2.ml";
     "fix_san_order_pr4.ml";
-    "fix_schema_drift.ml";
     "fix_suppressed_noreason.ml";
     "fix_suppressed_ok.ml";
   ]
@@ -47,8 +46,6 @@ let expected_active =
     ("fix_lock_branch.ml", "lock-paths");
     ("fix_lock_leak_pr2.ml", "lock-paths");
     ("fix_san_order_pr4.ml", "san-release-order");
-    ("fix_schema_drift.ml", "schema-drift");
-    ("fix_schema_drift.ml", "schema-drift");
     ("fix_suppressed_noreason.ml", "determinism");
     ("fix_suppressed_noreason.ml", "suppression");
     ("fix_suppressed_noreason.ml", "suppression");
@@ -194,10 +191,7 @@ let test_pragma_scoping () =
 (* ---------- output determinism ---------- *)
 
 let render (o : Lint.outcome) =
-  let record (f : Rules.finding) reason =
-    Report.lint_to_json ~file:f.Rules.file ~line:f.line ~col:f.col
-      ~rule:f.rule ~msg:f.msg ?reason ()
-  in
+  let record f reason = Report.record Report.Lint (f, reason) in
   let records =
     List.map (fun f -> record f None) o.Lint.findings
     @ List.map
@@ -233,23 +227,20 @@ let test_lint_records_validate () =
     | Error e -> Alcotest.failf "record rejected: %s" e
   in
   List.iter
-    (fun (f : Rules.finding) ->
-      check_record
-        (Report.lint_to_json ~file:f.file ~line:f.line ~col:f.col ~rule:f.rule
-           ~msg:f.msg ()))
+    (fun f -> check_record (Report.record Report.Lint (f, None)))
     o.Lint.findings;
   List.iter
     (fun (s : Lint.suppressed) ->
-      let f = s.Lint.s_finding in
       check_record
-        (Report.lint_to_json ~file:f.file ~line:f.line ~col:f.col ~rule:f.rule
-           ~msg:f.msg ~reason:s.s_reason ()))
+        (Report.record Report.Lint (s.Lint.s_finding, Some s.s_reason)))
     o.Lint.suppressed
 
 let test_lint_schema_rejects () =
   let bad_rule =
-    Report.lint_to_json ~file:"x.ml" ~line:1 ~col:0 ~rule:"no-such-rule"
-      ~msg:"m" ()
+    Report.record Report.Lint
+      ( { Rules.file = "x.ml"; line = 1; col = 0; rule = "no-such-rule";
+          msg = "m" },
+        None )
   in
   (match Report.validate_record bad_rule with
   | Ok () -> Alcotest.fail "unknown rule-id must be rejected"

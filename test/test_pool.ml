@@ -240,14 +240,16 @@ let test_collector_replay_order () =
 let test_diff_san () =
   differential "san records" (fun ~domains ->
       bytes_of
-        (San_run.to_records ~experiment:"san"
+        (List.mapi
+           (fun run o -> Report.record ~experiment:"san" ~run Report.San o)
            (San_run.run ~quick:true ~seed:7 ~strategies:[ Htm.Elision ]
               ~capacities:[ Cost.nominal ] ~domains ())))
 
 let test_diff_check () =
   differential "check records" (fun ~domains ->
       bytes_of
-        (Check_run.to_records ~experiment:"check"
+        (List.mapi
+           (fun run o -> Report.record ~experiment:"check" ~run Report.Check o)
            (Check_run.sweep ~quick:true ~seed:7 ~strategies:[ Htm.Elision ]
               ~domains ())))
 
@@ -255,14 +257,14 @@ let test_diff_chaos () =
   differential "chaos records" (fun ~domains ->
       bytes_of
         (List.map
-           (Chaos.outcome_to_json ~experiment:"chaos")
+           (Report.record ~experiment:"chaos" Report.Chaos)
            (Chaos.run_all ~domains Chaos.quick_config)))
 
 let test_diff_crash () =
   differential "crash records" (fun ~domains ->
       bytes_of
         (List.map
-           (Dura_run.cell_to_json ~experiment:"crash")
+           (Report.record ~experiment:"crash" Report.Recovery)
            (Dura_run.run_all ~domains Dura_run.quick_config)))
 
 let tiny_scale =

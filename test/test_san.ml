@@ -501,9 +501,16 @@ let test_san_record_validates () =
   feed c 0 1 (Sev.Note (Sev.Release (Sev.Ticket, 9)));
   let s = San.finish c in
   let j =
-    Report.san_to_json ~experiment:"san" ~run:0 ~tree:"Euno-B+Tree"
-      ~workload:"zipf-0.80" ~strategy:"elision" ~capacity_model:"nominal"
-      ~threads:4 ~seed:42 s
+    Report.record ~experiment:"san" ~run:0 Report.San
+      {
+        Euno_harness.San_run.o_tree = "Euno-B+Tree";
+        o_workload = "zipf-0.80";
+        o_strategy = "elision";
+        o_capacity_model = "nominal";
+        o_threads = 4;
+        o_seed = 42;
+        o_summary = s;
+      }
   in
   (match Report.validate_record j with
   | Ok () -> ()
