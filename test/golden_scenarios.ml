@@ -148,9 +148,12 @@ let fault_plan =
   ]
 
 (* Fixture name -> generator.  Keep names filesystem-safe.  The first
-   three run the heap scheduler with only a trace sink installed; the
-   last two pin the exploration pick (park overlay, clock bump,
-   explore-park events) and the fault-injection pre-step. *)
+   three run the default scheduler with only a trace sink installed; the
+   next two pin the exploration pick (park overlay, clock bump,
+   explore-park events) and the fault-injection pre-step.  The last two
+   run the default scheduler at the hot workloads' 16 threads and at
+   Line_table.max_threads, where the packed key's tid field is full and
+   every pick has dozens of parked threads to order. *)
 let all : (string * (traced:bool -> output)) list =
   [
     ( "engine_seed42",
@@ -166,6 +169,10 @@ let all : (string * (traced:bool -> output)) list =
     ( "htm_bptree_faults_seed42",
       tree_scenario ~plan:fault_plan Kv.Htm_bptree ~threads:4 ~ops:120
         ~key_space:256 () );
+    ( "htm_bptree_16t_seed42",
+      tree_scenario Kv.Htm_bptree ~threads:16 ~ops:12 ~key_space:16 () );
+    ( "htm_bptree_62t_seed42",
+      tree_scenario Kv.Htm_bptree ~threads:62 ~ops:2 ~key_space:16 () );
   ]
 
 let trace_file name = name ^ ".trace.jsonl"
