@@ -18,8 +18,8 @@
     (policy, seed) pair names one schedule.  The preemptions it fired
     ({!fired}) replay the identical run under {!Replay}, which is what the
     counterexample shrinker in [Euno_harness.Check_run] relies on.  With
-    no explorer installed the loop uses its heap pick and never consults
-    this module, so golden traces stay byte-identical. *)
+    no explorer installed the loop uses its default scan pick and never
+    consults this module, so golden traces stay byte-identical. *)
 
 (** Where in the instruction stream a consultation happens.  Every
     interpreted instruction is at least a {!Step}; protocol-relevant ones

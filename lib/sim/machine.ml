@@ -20,10 +20,12 @@
    flat-array only — line ownership and last-writer sockets are arrays
    indexed by line, transaction read/write sets live in the Line_table
    bits plus a per-thread log, buffered stores sit in an epoch-versioned
-   table cleared O(1) on abort, the scheduler's pick-min is a lazy binary
-   heap (Sched), and every observation and fault hook sits behind one
-   [hooked] bit, so while nothing is installed the access path tests that
-   bit and builds no event.  None of this changes simulated behavior: the
+   table cleared O(1) on abort, the scheduler's pick-min is one scan of
+   the thread array that also caches the runner-up's key (the run-ahead
+   test after each instruction is one compare against it), and every
+   observation and fault hook sits behind one [hooked] bit, so while
+   nothing is installed the access path tests that bit and builds no
+   event.  None of this changes simulated behavior: the
    determinism suite replays recorded seed-42 traces byte for byte. *)
 
 module Mem = Euno_mem.Memory
@@ -153,7 +155,7 @@ type status =
       (* parked at a yield, after its last instruction was interpreted *)
   | Running
   | Done
-  | Failed of exn
+  | Failed of exn * Printexc.raw_backtrace
 
 type tstate = {
   tid : int;
@@ -198,7 +200,9 @@ type t = {
   lt : Line_table.t;
   threads : tstate array;
   mutable cur : tstate; (* the thread the scheduler last resumed *)
-  sched : Sched.t;
+  mutable next_key : int;
+    (* smallest [key] among the runnable threads other than [cur] when the
+       scan pick last ran, max_int when there are none *)
   mutable owner_socket : int array; (* line -> socket of last writer, -1 *)
   cache_mask : int;
   mutable hooked : bool;
@@ -279,7 +283,7 @@ let create ~threads ~seed ~cost ~mem ~map ~alloc =
     lt = Line_table.create ();
     threads = ts;
     cur = ts.(0);
-    sched = Sched.create ~capacity:threads;
+    next_key = max_int;
     owner_socket = Array.make 64 (-1);
     cache_mask = cache_size - 1;
     hooked = false;
@@ -823,15 +827,11 @@ let samples m = List.rev m.samples
    decides whether the thread keeps running, so an instruction that
    neither yields nor aborts allocates nothing. *)
 
-(* The run-ahead test: [t], which is not in the run queue, is the unique
-   (clock, tid) minimum of the ready threads.  It is exact: tids differ,
-   and a stale queued key only under-estimates its thread's true key (see
-   the heap pick in [run]).  [retire] and the heap pick share it, so a
-   thread that keeps running after an instruction is the thread the pick
-   would have resumed. *)
-let[@inline] is_min m (t : tstate) =
-  Sched.is_empty m.sched
-  || Sched.pack ~clock:t.clock ~tid:t.tid < Sched.peek m.sched
+(* A thread's scheduling key: the clock above the tid's six bits (tids
+   stay below Line_table.max_threads = 62), so integer order is (clock,
+   tid) order and no two threads' keys tie. *)
+let tid_bits = 6
+let[@inline] key (t : tstate) = (t.clock lsl tid_bits) lor t.tid
 
 (* The machine's two private effects.  [Yield] parks the performing
    thread for the scheduler.  [Escape] carries an exception raised while
@@ -849,11 +849,14 @@ let current : t option Domain_ref.t = Domain_ref.create (fun () -> None)
 
 (* After an instruction: yield when the scheduler must see the step
    (anything hooked: the pre-step, the explorer and doom delivery then
-   happen where they always did) or would pick another thread.  Otherwise
-   keep running, raising a doom or a pending exception here, exactly as
-   [resume_once] would discontinue the thread with it. *)
+   happen where they always did) or might pick another thread.  The
+   run-ahead test is one compare: a thread whose key is below [next_key]
+   is the unique (clock, tid) minimum, the thread the scan pick would
+   resume (see [scan_pick]).  Otherwise keep running, raising a doom or
+   a pending exception here, exactly as [resume_once] would discontinue
+   the thread with it. *)
 let[@inline] retire m (t : tstate) =
-  if m.hooked || not (is_min m t) then Effect.perform Yield
+  if m.hooked || key t >= m.next_key then Effect.perform Yield
   else
     match t.doom with
     | Some code ->
@@ -1063,6 +1066,40 @@ end
 
 (* ---------- scheduler ---------- *)
 
+let[@inline] runnable t =
+  match t.status with
+  | Start _ | Ready _ -> true
+  | Running | Done | Failed _ -> false
+
+(* Scan pick: one pass over the threads returns the runnable thread with
+   the smallest key (-1 when none is runnable) and caches the smallest key
+   among the others in [next_key] (max_int when there are none).
+
+   [next_key] is what keeps run-ahead exact.  While the picked thread
+   runs no thread becomes runnable, and the others' clocks only grow (a
+   parked victim is charged the abort penalty), so [next_key] stays a
+   lower bound on every other runnable thread's key.  A thread below it
+   is the unique minimum, and this scan would pick it again.  A thread at
+   or above it yields; if a victim's charge made that spurious, the scan
+   picks the same thread again, one yield later.  A one-thread machine
+   leaves [next_key] at max_int and never yields. *)
+let scan_pick m =
+  let threads = m.threads in
+  let best = ref max_int and next = ref max_int in
+  for i = 0 to Array.length threads - 1 do
+    let t = Array.unsafe_get threads i in
+    let k = key t in
+    (* The key first: most threads fail it, without loading the status. *)
+    if k < !next && runnable t then
+      if k < !best then begin
+        next := !best;
+        best := k
+      end
+      else next := k
+  done;
+  m.next_key <- !next;
+  if !best = max_int then -1 else !best land ((1 lsl tid_bits) - 1)
+
 let run m bodies =
   let handler (t : tstate) : (unit, unit) Effect.Deep.handler =
     (* Built once per thread: a yield allocates only its continuation and
@@ -1076,6 +1113,9 @@ let run m bodies =
           t.status <- Done);
       exnc =
         (fun e ->
+          (* First, before the cleanup below can raise anything itself:
+             [run] re-raises [e] with the trace of where the thread failed. *)
+          let bt = Printexc.get_raw_backtrace () in
           (match t.txn with
           | Some txn ->
               rollback m txn;
@@ -1089,7 +1129,7 @@ let run m bodies =
                    aborted =
                      (match e with Eff.Txn_abort _ -> true | _ -> false);
                  });
-          t.status <- Failed e);
+          t.status <- Failed (e, bt));
       effc =
         (fun (type a) (eff : a Effect.t) :
              ((a, unit) Effect.Deep.continuation -> unit) option ->
@@ -1107,7 +1147,6 @@ let run m bodies =
       t.pending_exn <- None;
       t.txn <- None)
     m.threads;
-  let runnable t = match t.status with Start _ | Ready _ -> true | _ -> false in
   (* Resume thread [t] exactly once: it runs until it yields (or
      finishes).  Picks only return runnable threads. *)
   let resume_once t =
@@ -1133,46 +1172,16 @@ let run m bodies =
             | None -> Effect.Deep.continue k ()))
     | Running | Done | Failed _ -> assert false
   in
-  (* Heap pick.  The run queue holds one entry per runnable thread other
-     than the one just stepped, keyed by the clock it was parked at.  A
-     parked thread's clock can still advance (an attacker charging it the
-     abort penalty), so entries are validated on pop and re-pushed at the
-     thread's current clock when stale — clocks only grow, so a stale
-     (under-estimating) key can never hide the true minimum.  Pop order is
-     smallest clock first, ties to the smallest tid (see Sched).  Thread 0
-     starts out of the heap, as if just stepped: at clock 0 it is the
-     first pick. *)
-  Sched.clear m.sched;
-  Array.iter
-    (fun t -> if t.tid > 0 then Sched.push m.sched ~clock:0 ~tid:t.tid)
-    m.threads;
-  let rec pop () =
-    if Sched.is_empty m.sched then -1
-    else begin
-      let packed = Sched.pop m.sched in
-      let tid = Sched.tid_of packed in
-      let clock = m.threads.(tid).clock in
-      if clock = Sched.clock_of packed then tid
-      else begin
-        (* Stale entry: the thread was charged while parked. *)
-        Sched.push m.sched ~clock ~tid;
-        pop ()
-      end
-    end
-  in
-  (* Run-ahead: keep stepping the previous thread while it is still the
-     global minimum ([is_min]), with zero heap traffic — the same pick a
-     push and pop would make.  Unhooked, [retire] has already made this
-     test after the thread's last instruction and yielded only because it
-     failed, so here it fails again; hooked, every instruction yields and
-     this is where the thread keeps the processor. *)
-  let heap_pick prev =
-    if not (runnable prev) then pop ()
-    else if is_min m prev then prev.tid
-    else begin
-      Sched.push m.sched ~clock:prev.clock ~tid:prev.tid;
-      pop ()
-    end
+  (* Default pick: the thread that just ran keeps the processor, with no
+     scan, while it stays below [next_key] — the pick the scan would make.
+     Unhooked, [retire] has already made this test after the thread's
+     last instruction and yielded only because it failed, so here it fails
+     again; hooked, every instruction yields and this is where the thread
+     keeps the processor.  The first pick, and the pick after a
+     preemption, scan. *)
+  let default_pick prev resumed =
+    if resumed && runnable prev && key prev < m.next_key then prev.tid
+    else scan_pick m
   in
   (* Exploration pick: the same min-(clock, tid) pick over a linear scan
      (thread counts in explore runs are tiny) with a park overlay.  The
@@ -1190,7 +1199,7 @@ let run m bodies =
      clock of the last executed step ([now]) keeps recorded intervals
      consistent with execution order.  Under a pure min-clock policy the
      bump is provably a no-op (the picked minimum never decreases), so an
-     inert policy reproduces the heap pick's schedule exactly. *)
+     inert policy reproduces the default pick's schedule exactly. *)
   let n = Array.length m.threads in
   let parked = Array.make n 0 in
   let now = ref 0 in
@@ -1229,14 +1238,14 @@ let run m bodies =
     end;
     c
   in
-  (* Pre-step, run before every step while anything is hooked.  The heap
-     pick returns the (clock, tid) minimum, so the crash fires exactly
-     when the global minimum clock crosses [crash_at] and samples land on
-     window boundaries.  Injected preemption: the OS descheduled this
-     thread until [resume_at].  A live transaction dies (context switches
-     abort RTM transactions), the clock jumps, and the scheduler re-picks
-     — other threads run right past the stalled one.  Returns whether the
-     thread was preempted. *)
+  (* Pre-step, run before every step while anything is hooked.  The
+     default pick returns the (clock, tid) minimum, so the crash fires
+     exactly when the global minimum clock crosses [crash_at] and samples
+     land on window boundaries.  Injected preemption: the OS descheduled
+     this thread until [resume_at].  A live transaction dies (context
+     switches abort RTM transactions), the clock jumps, and the scheduler
+     re-picks — other threads run right past the stalled one.  Returns
+     whether the thread was preempted. *)
   let preempted t =
     if t.clock >= m.crash_at then crash m ~at_cycle:t.clock;
     sample_boundaries m t.clock;
@@ -1256,12 +1265,13 @@ let run m bodies =
      none is runnable), runs the pre-step if anything is hooked, then
      resumes the thread.  [prev] is the thread the last step picked
      (thread 0 before the first) and [resumed] whether it ran or was
-     preempted.  Only the pick differs between the heap and exploration
-     schedulers. *)
+     preempted.  Only the pick differs between the default and
+     exploration schedulers. *)
   let exploring = m.explore != no_explorer in
   let rec loop prev resumed =
     let tid =
-      if exploring then explore_pick prev resumed else heap_pick prev
+      if exploring then explore_pick prev resumed
+      else default_pick prev resumed
     in
     if tid >= 0 then begin
       let t = m.threads.(tid) in
@@ -1285,7 +1295,10 @@ let run m bodies =
     | _ -> m.samples <- (now, aggregate m) :: m.samples
   end;
   Array.iter
-    (fun t -> match t.status with Failed e -> raise e | _ -> ())
+    (fun t ->
+      match t.status with
+      | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
+      | _ -> ())
     m.threads
 
 (* ---------- results ---------- *)

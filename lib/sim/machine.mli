@@ -17,12 +17,13 @@
     ({!Line_table}), last-writer sockets, warmth caches and the per-thread
     transaction arena ({!Txn}) are all indexed by line or address with no
     hashing and no per-access allocation; aborts clear transaction state in
-    O(1) by epoch bump.  The scheduler's pick-min step is a lazy binary
-    heap ({!Sched}).  Run-ahead keeps the current thread executing, with
-    no fiber switch, while it provably remains the (clock, tid) minimum,
-    so single-threaded runs never touch the heap or park; an instruction
-    allocates nothing unless its thread yields or aborts.  See
-    docs/SIMULATOR.md "Fast paths".
+    O(1) by epoch bump.  The scheduler's pick-min step is one
+    allocation-free scan of the threads, which also caches the smallest
+    key among the others.  Run-ahead keeps the current thread executing,
+    with no fiber switch, while its (clock, tid) key stays below that
+    cached key, one compare per instruction; single-threaded runs never
+    yield.  An instruction allocates nothing unless its thread yields or
+    aborts.  See docs/SIMULATOR.md "Fast paths".
 
     {b Determinism:} threads are resumed strictly in (clock, tid) order;
     ties go to the smallest tid; victim dooming iterates reader tids in
@@ -47,9 +48,10 @@ val create :
 val run : t -> (int -> unit) -> unit
 (** [run m body] executes [body tid] on every thread to completion.  Thread
     code may only interact with simulated state through {!Api}.  Re-raises
-    the first thread failure, after cleaning up its transaction; an
-    exception raised while interpreting an instruction (e.g. [xend]
-    outside a transaction) leaves at once, without entering the thread.
+    the first thread failure, after cleaning up its transaction, with the
+    backtrace of where the thread raised it; an exception raised while
+    interpreting an instruction (e.g. [xend] outside a transaction) leaves
+    at once, without entering the thread.
     [run] makes [m] this domain's running machine for {!Insn} and restores
     the previous one on every exit, so a run nested inside another
     machine's thread (a {!run_single} preload, say) hands it back.  A
@@ -196,18 +198,18 @@ val set_injector : t -> injector -> unit
 val set_explorer : t -> (tid:int -> point:Explore.point -> int) -> unit
 (** Install a schedule-exploration policy consultation; see {!Explore}.
     {!run}'s scheduler loop then picks threads with an exploration scan
-    instead of the heap: after every interpreted instruction the hook is asked
-    whether the thread that just ran should be parked for the returned
-    number of scheduler picks (0 = keep it schedulable), letting other
-    ready threads overtake it.  Parked threads are force-released when
-    every runnable thread is parked, so exploration cannot deadlock the
-    machine, and an overtaken thread's clock is bumped forward so recorded
-    timestamps never contradict execution order.  Each park is announced
-    as an [Injected "explore-park:<span>"] event.  With no explorer
-    installed (the default) the machine never consults {!Explore}; with
-    [Explore.hook policy] the run is still fully deterministic — the
-    schedule is a pure function of (machine seed, policy spec, policy
-    seed).  Call before {!run}. *)
+    instead of the default one: after every interpreted instruction the
+    hook is asked whether the thread that just ran should be parked for
+    the returned number of scheduler picks (0 = keep it schedulable),
+    letting other ready threads overtake it.  Parked threads are
+    force-released when every runnable thread is parked, so exploration
+    cannot deadlock the machine, and an overtaken thread's clock is bumped
+    forward so recorded timestamps never contradict execution order.  Each
+    park is announced as an [Injected "explore-park:<span>"] event.  With
+    no explorer installed (the default) the machine never consults
+    {!Explore}; with [Explore.hook policy] the run is still fully
+    deterministic — the schedule is a pure function of (machine seed,
+    policy spec, policy seed).  Call before {!run}. *)
 
 val n_threads : t -> int
 val memory : t -> Euno_mem.Memory.t

@@ -1,19 +1,15 @@
-(* Index-tracked run queue for the machine scheduler.
+(* Index-tracked run queue: a binary min-heap of packed (clock, tid)
+   keys, clock in the high bits and tid in the low 6 bits, so plain
+   integer comparison is the lexicographic order (smallest clock first,
+   ties to the smallest tid).  The machine does not use it; see
+   sched.mli.
 
-   The scheduler must always resume the ready thread with the smallest
-   (clock, tid) pair — previously found by scanning every thread on every
-   step.  This module replaces the scan with a binary min-heap of packed
-   (clock, tid) keys: clock in the high bits, tid in the low 6 bits, so
-   plain integer comparison is exactly the lexicographic order the scan
-   used (smallest clock first, ties to the smallest tid).
-
-   Entries are *lazy*: a parked thread's clock can advance while it waits
-   (an attacker charging it the abort penalty), leaving its heap entry
-   stale.  Because clocks only ever increase, a stale key is always an
-   underestimate, so the true minimum can never be overtaken by it; the
-   machine revalidates on pop and re-pushes with the current clock.  This
-   keeps push/pop at O(log n) without a decrease-key operation and —
-   crucially — picks the exact same thread sequence as the scan did. *)
+   Entries may be *lazy*: a parked thread's clock can advance while it
+   waits (an attacker charging it the abort penalty), leaving its heap
+   entry stale.  Because clocks only ever increase, a stale key is always
+   an underestimate, so the true minimum can never be overtaken by it; a
+   caller revalidates on pop and re-pushes with the current clock.  This
+   keeps push/pop at O(log n) without a decrease-key operation. *)
 
 let tid_bits = 6 (* 2^6 = 64 >= Line_table.max_threads + slack *)
 let tid_mask = (1 lsl tid_bits) - 1

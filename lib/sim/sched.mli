@@ -1,5 +1,10 @@
-(** Index-tracked run queue: the scheduler's pick-min-(clock, tid) step as
-    a binary min-heap of packed integer keys instead of an O(threads) scan.
+(** Index-tracked run queue: a pick-min-(clock, tid) step as a binary
+    min-heap of packed integer keys.
+
+    {!Machine} no longer uses it: its scheduler picks with one scan of the
+    threads and caches the runner-up's key (docs/SIMULATOR.md §7).  The
+    module stays only for EunoBench's [sim.sched_push_pop_ns] micro and
+    its unit tests, until the next benchmark change retires both.
 
     {b Complexity:} [push] and [pop] are O(log ready-threads); peeking the
     minimum is O(1).  No allocation per operation (the backing array grows
@@ -7,12 +12,11 @@
 
     {b Determinism:} keys pack [clock] into the high bits and [tid] into
     the low {!tid_bits} bits, so integer comparison is exactly the
-    lexicographic (clock, tid) order — the heap resumes the same thread
-    the old linear scan picked, including ties (smallest tid wins).
-    Entries may go stale when a parked thread's clock is advanced by an
-    attacker (abort-penalty charge); since clocks only increase, stale
-    keys are underestimates and the machine simply revalidates on pop and
-    re-pushes, never missing the true minimum. *)
+    lexicographic (clock, tid) order, ties included (smallest tid wins).
+    A caller whose keys can go stale (a parked thread's clock advanced by
+    an attacker's abort-penalty charge) revalidates on pop and re-pushes;
+    since clocks only increase, stale keys are underestimates and never
+    hide the true minimum. *)
 
 type t
 
@@ -34,9 +38,7 @@ val length : t -> int
 val push : t -> clock:int -> tid:int -> unit
 
 val peek : t -> int
-(** The smallest packed key, not removed.  The machine's run-ahead fast
-    path compares the running thread's key against this to keep executing
-    it without any heap traffic while it remains the minimum.
+(** The smallest packed key, not removed.
     @raise Invalid_argument when empty. *)
 
 val pop : t -> int

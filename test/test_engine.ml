@@ -1,10 +1,11 @@
-(* Unit tests of the fast-path engine structures: the packed-key scheduler
-   heap, the flat line-ownership table, the reusable transaction arena's
+(* Unit tests of the fast-path engine structures: the packed-key heap
+   (Sched, which EunoBench's micro still times but the machine no longer
+   uses), the flat line-ownership table, the reusable transaction arena's
    versioned clear, and the perf-regression gate's comparison logic.  The
-   end-to-end behavior of the machine built from these is covered by
-   test_sim.ml and the determinism goldens; these tests pin down each
-   structure's own contract, especially the reuse/clear paths a whole-run
-   test can miss. *)
+   machine's end-to-end behavior is covered by test_sim.ml and the
+   determinism goldens; these tests pin down each structure's own
+   contract, especially the reuse/clear paths a whole-run test can
+   miss. *)
 
 open Util
 module Sched = Euno_sim.Sched

@@ -2,8 +2,10 @@
    simulated thread's own stack and parks the thread only when it must.
    Pinned here: non-yielding instructions allocate nothing; keeping a
    thread running makes exactly the schedule that yielding after every
-   instruction makes; interpretation errors leave Machine.run at once;
-   and the domain's running-machine slot survives nesting and crashes. *)
+   instruction makes, at up to Line_table.max_threads threads;
+   interpretation errors leave Machine.run at once; a thread's own
+   failure leaves it with the thread's backtrace; and the domain's
+   running-machine slot survives nesting and crashes. *)
 
 open Util
 module Api = Euno_sim.Api
@@ -133,7 +135,7 @@ let gen_program =
   let thread =
     list_size (int_range 20 60) (frequency [ (5, plain); (1, txn) ])
   in
-  let* threads = int_range 2 6 in
+  let* threads = frequency [ (3, int_range 2 6); (1, pure 16); (1, pure 62) ] in
   let* progs = list_repeat threads thread in
   pure (lines, progs)
 
@@ -237,6 +239,29 @@ let test_error_leaves_run ~hooked () =
   | exception Failure _ -> ());
   if !reads >= 1000 then Alcotest.fail "thread 1 ran to completion first"
 
+(* Thread 1 fails inside a named function of its own.  [run] re-raises
+   the Failure with the backtrace of where the thread raised it, so the
+   trace names that function rather than starting in the machine. *)
+let[@inline never] fail_in_thread_code tid =
+  if tid = 1 then failwith "thread 1 failed";
+  Api.work 1
+
+let test_failure_keeps_backtrace () =
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace recording)
+  @@ fun () ->
+  match
+    run_threads (fresh_world ()) (fun tid ->
+        Api.work 10;
+        fail_in_thread_code tid)
+  with
+  | _ -> Alcotest.fail "run returned"
+  | exception Failure _ ->
+      let bt = Printexc.get_backtrace () in
+      if not (contains ~sub:"fail_in_thread_code" bt) then
+        Alcotest.failf "backtrace does not name fail_in_thread_code:\n%s" bt
+
 (* No machine is running on the domain: the slot was restored. *)
 let check_no_machine () =
   match Api.read 0 with
@@ -311,6 +336,8 @@ let suite =
       (test_error_leaves_run ~hooked:false);
     Alcotest.test_case "interpretation error leaves run (subscribed)" `Quick
       (test_error_leaves_run ~hooked:true);
+    Alcotest.test_case "failing thread keeps its backtrace" `Quick
+      test_failure_keeps_backtrace;
     Alcotest.test_case "instruction outside a machine" `Quick test_no_machine;
     Alcotest.test_case "run_single nested in a thread" `Quick
       test_nested_run_single;

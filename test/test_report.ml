@@ -174,13 +174,6 @@ let corpus dir =
          | Ok json -> (f, json)
          | Error e -> Alcotest.failf "%s: parse error: %s" f e)
 
-let contains ~sub s =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
 let test_valid_accepted () =
   let entries = corpus "valid" in
   Alcotest.(check bool) "corpus has valid entries" true (entries <> []);
@@ -204,7 +197,7 @@ let test_malformed_rejected () =
       match Report.validate_document json with
       | Ok () -> Alcotest.failf "%s accepted" f
       | Error e ->
-          if not (contains ~sub:field e) then
+          if not (Util.contains ~sub:field e) then
             Alcotest.failf "%s rejected for another reason: %s" f e)
     entries
 

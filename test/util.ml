@@ -35,3 +35,11 @@ let scratch w ~words =
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+
+(* Whether [sub] occurs in [s]. *)
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
