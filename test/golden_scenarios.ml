@@ -150,10 +150,12 @@ let fault_plan =
 (* Fixture name -> generator.  Keep names filesystem-safe.  The first
    three run the default scheduler with only a trace sink installed; the
    next two pin the exploration pick (park overlay, clock bump,
-   explore-park events) and the fault-injection pre-step.  The last two
+   explore-park events) and the fault-injection pre-step.  The next two
    run the default scheduler at the hot workloads' 16 threads and at
    Line_table.max_threads, where the packed key's tid field is full and
-   every pick has dozens of parked threads to order. *)
+   every pick has dozens of parked threads to order.  The last runs the
+   Euno-B+Tree at 16 threads: its abort path writes shared memory right
+   after an abort, so a charged victim resumed out of order shows. *)
 let all : (string * (traced:bool -> output)) list =
   [
     ( "engine_seed42",
@@ -173,6 +175,9 @@ let all : (string * (traced:bool -> output)) list =
       tree_scenario Kv.Htm_bptree ~threads:16 ~ops:12 ~key_space:16 () );
     ( "htm_bptree_62t_seed42",
       tree_scenario Kv.Htm_bptree ~threads:62 ~ops:2 ~key_space:16 () );
+    ( "euno_16t_seed42",
+      tree_scenario (Kv.Euno Eunomia.Config.full) ~threads:16 ~ops:12
+        ~key_space:16 () );
   ]
 
 let trace_file name = name ^ ".trace.jsonl"
