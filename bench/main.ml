@@ -67,6 +67,19 @@ let micro_tests () =
                Api.write addr i;
                ignore (Api.read addr)
              done)));
+    (* the yield path: at unit cost every instruction of a 16-thread
+       machine yields, so each call times 1600 picks and thread switches
+       (and one machine build) *)
+    (let w = fresh_world () in
+     simple "sim: 16-thread yield ping-pong x1600" (fun () ->
+         let m =
+           Machine.create ~threads:16 ~seed:1 ~cost:Euno_sim.Cost.unit_costs
+             ~mem:w.mem ~map:w.map ~alloc:w.alloc
+         in
+         Machine.run m (fun _ ->
+             for _ = 1 to 100 do
+               Api.work 1
+             done)));
     (let w = fresh_world () in
      let lock = on_machine w (fun () -> Htm.alloc_lock ()) in
      let addr = Alloc.alloc w.alloc ~kind:Linemap.Scratch ~words:8 in
@@ -177,10 +190,15 @@ let perf_trees =
 
 let perf_thetas = [ 0.2; 0.8; 0.99 ]
 
-(* Micro timings that double as perf probes: the two engine hot paths the
-   fast-path work targets. *)
+(* Micro timings that double as perf probes: the engine hot paths the
+   fast-path work targets.  The first two run on one-thread machines,
+   which never yield; the ping-pong times the yield path. *)
 let perf_micro_names =
-  [ "sim: 100 read/write effects"; "htm: one-write elided txn x100" ]
+  [
+    "sim: 100 read/write effects";
+    "sim: 16-thread yield ping-pong x1600";
+    "htm: one-write elided txn x100";
+  ]
 
 (* One probe: (name, strategy name, capacity-model name, ops/wall-sec). *)
 let perf_probe ~tname ~kind ~theta ~policy ~capacity ~name_fmt =
