@@ -5,11 +5,11 @@
    from the thread into [Insn] below, interpreted on the thread's own
    stack: it charges cycles from the Cost model, performs eager
    requester-wins conflict detection at cache-line granularity, and
-   returns.  The thread hands control back to the scheduler — one private
-   [Yield] effect, parking its continuation — only when it is no longer
-   the ready thread with the smallest (clock, tid), or after every
-   instruction while anything observes the run.  The scheduler then
-   resumes the minimum.  Doomed transactions observe their abort as a
+   returns.  The thread parks — one private [Yield] effect — only when it
+   is no longer the ready thread with the smallest (clock, tid), or after
+   every instruction while anything observes the run.  Its handler then
+   picks the minimum and resumes it directly, with no scheduler loop in
+   between.  Doomed transactions observe their abort as a
    Txn_abort exception delivered at their next instruction, exactly like
    a real RTM abort rolling back to the xbegin point.
 
@@ -20,12 +20,12 @@
    flat-array only — line ownership and last-writer sockets are arrays
    indexed by line, transaction read/write sets live in the Line_table
    bits plus a per-thread log, buffered stores sit in an epoch-versioned
-   table cleared O(1) on abort, the scheduler's pick-min is one scan of
-   the thread array that also caches the runner-up's key (the run-ahead
-   test after each instruction is one compare against it), and every
-   observation and fault hook sits behind one [hooked] bit, so while
-   nothing is installed the access path tests that bit and builds no
-   event.  None of this changes simulated behavior: the
+   table cleared O(1) on abort, the scheduler's pick-min reads the root
+   of a winner tree over the threads' keys and caches the runner-up's
+   key (the run-ahead test after each instruction is one compare against
+   it), and every observation and fault hook sits behind one [hooked]
+   bit, so while nothing is installed the access path tests that bit and
+   builds no event.  None of this changes simulated behavior: the
    determinism suite replays recorded seed-42 traces byte for byte. *)
 
 module Mem = Euno_mem.Memory
@@ -200,9 +200,15 @@ type t = {
   lt : Line_table.t;
   threads : tstate array;
   mutable cur : tstate; (* the thread the scheduler last resumed *)
+  leaves : int; (* the smallest power of two >= the thread count *)
+  tree : int array;
+    (* the pick's winner tree, 2 * [leaves] entries: leaf [leaves + tid]
+       holds a runnable thread's [key] as of its last park or victim
+       charge and max_int for any other thread, node j the min of nodes
+       2j and 2j+1, so node 1 is the smallest key (see [set_key]) *)
   mutable next_key : int;
     (* smallest [key] among the runnable threads other than [cur] when the
-       scan pick last ran, max_int when there are none *)
+       tree pick last ran, max_int when there are none *)
   mutable owner_socket : int array; (* line -> socket of last writer, -1 *)
   cache_mask : int;
   mutable hooked : bool;
@@ -262,6 +268,10 @@ let create ~threads ~seed ~cost ~mem ~map ~alloc =
     }
   in
   let ts = Array.init threads mk in
+  let leaves =
+    let rec up p = if p >= threads then p else up (2 * p) in
+    up 1
+  in
   {
     mem;
     map;
@@ -283,6 +293,8 @@ let create ~threads ~seed ~cost ~mem ~map ~alloc =
     lt = Line_table.create ();
     threads = ts;
     cur = ts.(0);
+    leaves;
+    tree = Array.make (2 * leaves) max_int;
     next_key = max_int;
     owner_socket = Array.make 64 (-1);
     cache_mask = cache_size - 1;
@@ -408,6 +420,34 @@ let publish_write m ~writer line =
   done;
   set_socket_of_line m line m.threads.(writer).socket
 
+(* ---------- scheduling keys ---------- *)
+
+(* A thread's scheduling key: the clock above the tid's six bits (tids
+   stay below Line_table.max_threads = 62), so integer order is (clock,
+   tid) order and no two threads' keys tie. *)
+let tid_bits = 6
+let[@inline] key (t : tstate) = (t.clock lsl tid_bits) lor t.tid
+
+(* Branch-free min of two keys: keys are >= 0 (max_int included), so
+   [a - b] cannot overflow, and [d asr 62] is all ones exactly when
+   [a < b]. *)
+let[@inline] min_key a b =
+  let d = a - b in
+  b + (d land (d asr 62))
+
+(* Write [k] into thread [t]'s leaf of the winner tree and recompute the
+   mins on its path to the root: log2 [leaves] steps. *)
+let set_key m (t : tstate) k =
+  let tree = m.tree in
+  let j = ref (m.leaves + t.tid) in
+  Array.unsafe_set tree !j k;
+  while !j > 1 do
+    let left = !j land lnot 1 in
+    j := !j lsr 1;
+    Array.unsafe_set tree !j
+      (min_key (Array.unsafe_get tree left) (Array.unsafe_get tree (left + 1)))
+  done
+
 (* ---------- aborting transactions ---------- *)
 
 (* Commit and abort run on the thread's stack between two instructions,
@@ -442,6 +482,9 @@ let abort_txn m (v : tstate) (code : Abort.code) =
       v.cnt.wasted_cycles <-
         v.cnt.wasted_cycles + (v.clock - Txn.start_clock txn) + m.c_abort;
       charge m v m.c_abort;
+      (* A parked victim's key grew.  A self-abort's thread rewrites its
+         leaf when it parks, and a finished thread's leaf stays max_int. *)
+      (match v.status with Ready _ -> set_key m v (key v) | _ -> ());
       if m.hooked then emit m v (Sev.Txn_aborted code);
       v.doom <- Some code
 
@@ -827,12 +870,6 @@ let samples m = List.rev m.samples
    decides whether the thread keeps running, so an instruction that
    neither yields nor aborts allocates nothing. *)
 
-(* A thread's scheduling key: the clock above the tid's six bits (tids
-   stay below Line_table.max_threads = 62), so integer order is (clock,
-   tid) order and no two threads' keys tie. *)
-let tid_bits = 6
-let[@inline] key (t : tstate) = (t.clock lsl tid_bits) lor t.tid
-
 (* The machine's two private effects.  [Yield] parks the performing
    thread for the scheduler.  [Escape] carries an exception raised while
    interpreting an instruction (xend outside a transaction, a bad counter
@@ -851,9 +888,9 @@ let current : t option Domain_ref.t = Domain_ref.create (fun () -> None)
    (anything hooked: the pre-step, the explorer and doom delivery then
    happen where they always did) or might pick another thread.  The
    run-ahead test is one compare: a thread whose key is below [next_key]
-   is the unique (clock, tid) minimum, the thread the scan pick would
-   resume (see [scan_pick]).  Otherwise keep running, raising a doom or
-   a pending exception here, exactly as [resume_once] would discontinue
+   is the unique (clock, tid) minimum, the thread the tree pick would
+   resume (see [tree_pick]).  Otherwise keep running, raising a doom or
+   a pending exception here, exactly as [resume] would discontinue
    the thread with it. *)
 let[@inline] retire m (t : tstate) =
   if m.hooked || key t >= m.next_key then Effect.perform Yield
@@ -1071,117 +1108,67 @@ let[@inline] runnable t =
   | Start _ | Ready _ -> true
   | Running | Done | Failed _ -> false
 
-(* Scan pick: one pass over the threads returns the runnable thread with
-   the smallest key (-1 when none is runnable) and caches the smallest key
-   among the others in [next_key] (max_int when there are none).
+(* Tree pick: the winner tree's root is the smallest key among the
+   runnable threads, and its tid is the pick (-1 when the root is
+   max_int: none is runnable).  The subtrees hanging off the winner's
+   path partition the other leaves, so the smallest of their roots is
+   the smallest key among the other runnable threads; it is cached in
+   [next_key] (max_int when there are none).
+
+   The pick is exact because of the leaf invariant: at every pick a
+   runnable thread's leaf holds its [key] and every other leaf max_int.
+   [run]'s start writes every leaf, a thread that finishes or fails
+   writes max_int, and a parked thread's clock changes only where its
+   leaf is rewritten: its park, a victim's abort charge, a pre-step
+   preemption and the exploration clock bump.
 
    [next_key] is what keeps run-ahead exact.  While the picked thread
    runs no thread becomes runnable, and the others' clocks only grow (a
    parked victim is charged the abort penalty), so [next_key] stays a
    lower bound on every other runnable thread's key.  A thread below it
-   is the unique minimum, and this scan would pick it again.  A thread at
-   or above it yields; if a victim's charge made that spurious, the scan
-   picks the same thread again, one yield later.  A one-thread machine
-   leaves [next_key] at max_int and never yields. *)
-let scan_pick m =
-  let threads = m.threads in
-  let best = ref max_int and next = ref max_int in
-  for i = 0 to Array.length threads - 1 do
-    let t = Array.unsafe_get threads i in
-    let k = key t in
-    (* The key first: most threads fail it, without loading the status. *)
-    if k < !next && runnable t then
-      if k < !best then begin
-        next := !best;
-        best := k
-      end
-      else next := k
-  done;
-  m.next_key <- !next;
-  if !best = max_int then -1 else !best land ((1 lsl tid_bits) - 1)
+   is the unique minimum, and this pick would choose it again.  A thread
+   at or above it yields; if a victim's charge made that spurious, the
+   pick chooses the same thread again, one yield later.  A one-thread
+   machine's tree is its one leaf: [next_key] stays max_int and the
+   thread never yields. *)
+let tree_pick m =
+  let tree = m.tree in
+  let root = Array.unsafe_get tree 1 in
+  if root = max_int then begin
+    m.next_key <- max_int;
+    -1
+  end
+  else begin
+    let tid = root land ((1 lsl tid_bits) - 1) in
+    let j = ref (m.leaves + tid) and next = ref max_int in
+    while !j > 1 do
+      next := min_key !next (Array.unsafe_get tree (!j lxor 1));
+      j := !j lsr 1
+    done;
+    m.next_key <- !next;
+    tid
+  end
 
 let run m bodies =
-  let handler (t : tstate) : (unit, unit) Effect.Deep.handler =
-    (* Built once per thread: a yield allocates only its continuation and
-       the [Ready] block. *)
-    let park = Some (fun k -> t.status <- Ready k) in
-    {
-      retc =
-        (fun () ->
-          if m.hooked then
-            emit m t (Sev.Thread_exit { failed = false; aborted = false });
-          t.status <- Done);
-      exnc =
-        (fun e ->
-          (* First, before the cleanup below can raise anything itself:
-             [run] re-raises [e] with the trace of where the thread failed. *)
-          let bt = Printexc.get_raw_backtrace () in
-          (match t.txn with
-          | Some txn ->
-              rollback m txn;
-              t.txn <- None
-          | None -> ());
-          if m.hooked then
-            emit m t
-              (Sev.Thread_exit
-                 {
-                   failed = true;
-                   aborted =
-                     (match e with Eff.Txn_abort _ -> true | _ -> false);
-                 });
-          t.status <- Failed (e, bt));
-      effc =
-        (fun (type a) (eff : a Effect.t) :
-             ((a, unit) Effect.Deep.continuation -> unit) option ->
-          match eff with
-          | Yield -> park
-          | Escape (e, bt) -> Printexc.raise_with_backtrace e bt
-          | _ -> None);
-    }
-  in
   Array.iter
     (fun t ->
       t.status <- Start (fun () -> bodies t.tid);
       t.clock <- 0;
       t.doom <- None;
       t.pending_exn <- None;
-      t.txn <- None)
+      t.txn <- None;
+      set_key m t (key t))
     m.threads;
-  (* Resume thread [t] exactly once: it runs until it yields (or
-     finishes).  Picks only return runnable threads. *)
-  let resume_once t =
-    m.cur <- t;
-    match t.status with
-    | Start f ->
-        t.status <- Running;
-        Effect.Deep.match_with f () (handler t)
-    | Ready k -> (
-        t.status <- Running;
-        match t.doom with
-        | Some code ->
-            t.doom <- None;
-            (* The first instruction after a delivered abort is where the
-               retry/fallback path begins — a prime preemption target. *)
-            if m.hooked then m.exp_point <- Explore.Xabort;
-            Effect.Deep.discontinue k (Eff.Txn_abort code)
-        | None -> (
-            match t.pending_exn with
-            | Some e ->
-                t.pending_exn <- None;
-                Effect.Deep.discontinue k e
-            | None -> Effect.Deep.continue k ()))
-    | Running | Done | Failed _ -> assert false
-  in
   (* Default pick: the thread that just ran keeps the processor, with no
-     scan, while it stays below [next_key] — the pick the scan would make.
-     Unhooked, [retire] has already made this test after the thread's
-     last instruction and yielded only because it failed, so here it fails
-     again; hooked, every instruction yields and this is where the thread
-     keeps the processor.  The first pick, and the pick after a
-     preemption, scan. *)
+     tree walk, while it stays below [next_key] — the pick the tree would
+     make.  Unhooked, [retire] has already made this test after the
+     thread's last instruction and yielded only because it failed, so here
+     it fails again; hooked, every instruction yields and this is where
+     the thread keeps the processor.  The first pick, and the pick after a
+     preemption, read the tree. *)
   let default_pick prev resumed =
     if resumed && runnable prev && key prev < m.next_key then prev.tid
-    else scan_pick m
+    else tree_pick m
   in
   (* Exploration pick: the same min-(clock, tid) pick over a linear scan
      (thread counts in explore runs are tiny) with a park overlay.  The
@@ -1233,7 +1220,10 @@ let run m bodies =
           parked.(i) <- parked.(i) - 1
       done;
       let t = m.threads.(c) in
-      if t.clock < !now then t.clock <- !now;
+      if t.clock < !now then begin
+        t.clock <- !now;
+        set_key m t (key t)
+      end;
       now := t.clock
     end;
     c
@@ -1254,6 +1244,7 @@ let run m bodies =
       emit m t (Sev.Injected (Printf.sprintf "preempt:until=%d" resume_at));
       abort_txn m t Abort.Spurious;
       t.clock <- max t.clock resume_at;
+      set_key m t (key t);
       true
     end
     else begin
@@ -1261,31 +1252,107 @@ let run m bodies =
       false
     end
   in
-  (* The one scheduler loop.  Each step picks the next thread (-1 once
-     none is runnable), runs the pre-step if anything is hooked, then
-     resumes the thread.  [prev] is the thread the last step picked
-     (thread 0 before the first) and [resumed] whether it ran or was
-     preempted.  Only the pick differs between the default and
-     exploration schedulers. *)
+  (* One step picks the next thread (-1 once none is runnable), runs the
+     pre-step if anything is hooked, then resumes the thread.  [prev] is
+     the thread the last step picked (thread 0 before the first) and
+     [resumed] whether it ran or was preempted.  Only the pick differs
+     between the default and exploration schedulers.
+
+     There is no scheduler loop: the thread's handler runs [step] when the
+     thread parks, finishes or fails, and [step] resumes the next thread
+     itself.  Park -> [step] -> [resume] -> [continue] (or the
+     [match_with] that starts a thread) are all tail calls, so yields do
+     not grow the host stack.  Once no thread is runnable [step] returns,
+     and [run] goes on.  An exception raised in a handler ([Escape]'s
+     re-raise, [Crashed] from the pre-step, a raising subscriber or
+     policy) leaves [run] through its [Fun.protect]; parked continuations
+     are dropped. *)
   let exploring = m.explore != no_explorer in
-  let rec loop prev resumed =
+  let rec step prev resumed =
     let tid =
       if exploring then explore_pick prev resumed
       else default_pick prev resumed
     in
     if tid >= 0 then begin
       let t = m.threads.(tid) in
-      if m.hooked && preempted t then loop t false
-      else begin
-        resume_once t;
-        loop t true
-      end
+      if m.hooked && preempted t then step t false else resume t
     end
+  (* Resume thread [t] exactly once: it runs until it yields (or
+     finishes).  Picks only return runnable threads. *)
+  and resume t =
+    m.cur <- t;
+    match t.status with
+    | Start f ->
+        t.status <- Running;
+        Effect.Deep.match_with f () (handler t)
+    | Ready k -> (
+        t.status <- Running;
+        match t.doom with
+        | Some code ->
+            t.doom <- None;
+            (* The first instruction after a delivered abort is where the
+               retry/fallback path begins — a prime preemption target. *)
+            if m.hooked then m.exp_point <- Explore.Xabort;
+            Effect.Deep.discontinue k (Eff.Txn_abort code)
+        | None -> (
+            match t.pending_exn with
+            | Some e ->
+                t.pending_exn <- None;
+                Effect.Deep.discontinue k e
+            | None -> Effect.Deep.continue k ()))
+    | Running | Done | Failed _ -> assert false
+  and handler (t : tstate) : (unit, unit) Effect.Deep.handler =
+    (* Built once per thread: a yield allocates only its continuation and
+       the [Ready] block. *)
+    let park =
+      Some
+        (fun k ->
+          t.status <- Ready k;
+          set_key m t (key t);
+          step t true)
+    in
+    {
+      retc =
+        (fun () ->
+          if m.hooked then
+            emit m t (Sev.Thread_exit { failed = false; aborted = false });
+          t.status <- Done;
+          set_key m t max_int;
+          step t true);
+      exnc =
+        (fun e ->
+          (* First, before the cleanup below can raise anything itself:
+             [run] re-raises [e] with the trace of where the thread failed. *)
+          let bt = Printexc.get_raw_backtrace () in
+          (match t.txn with
+          | Some txn ->
+              rollback m txn;
+              t.txn <- None
+          | None -> ());
+          if m.hooked then
+            emit m t
+              (Sev.Thread_exit
+                 {
+                   failed = true;
+                   aborted =
+                     (match e with Eff.Txn_abort _ -> true | _ -> false);
+                 });
+          t.status <- Failed (e, bt);
+          set_key m t max_int;
+          step t true);
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with
+          | Yield -> park
+          | Escape (e, bt) -> Printexc.raise_with_backtrace e bt
+          | _ -> None);
+    }
   in
   let outer = Domain_ref.get current in
   Domain_ref.set current (Some m);
   Fun.protect ~finally:(fun () -> Domain_ref.set current outer) @@ fun () ->
-  loop m.threads.(0) false;
+  step m.threads.(0) false;
   (* Close the series with a final partial-window sample so the tail of the
      run is never silently dropped. *)
   if m.sample_window > 0 then begin
