@@ -17,9 +17,12 @@
     ({!Line_table}), last-writer sockets, warmth caches and the per-thread
     transaction arena ({!Txn}) are all indexed by line or address with no
     hashing and no per-access allocation; aborts clear transaction state in
-    O(1) by epoch bump.  The scheduler's pick-min step is one
-    allocation-free scan of the threads, which also caches the smallest
-    key among the others.  Run-ahead keeps the current thread executing,
+    O(1) by epoch bump.  The scheduler picks from a winner tree over the
+    threads' keys: the minimum is its root, a park or an abort charge
+    rewrites one leaf-to-root path in O(log threads) with no allocation,
+    and the pick caches the smallest key among the others.  A yielding
+    thread's handler picks and resumes the next thread itself, with no
+    scheduler loop.  Run-ahead keeps the current thread executing,
     with no fiber switch, while its (clock, tid) key stays below that
     cached key, one compare per instruction; single-threaded runs never
     yield.  An instruction allocates nothing unless its thread yields or
@@ -197,14 +200,15 @@ val set_injector : t -> injector -> unit
 
 val set_explorer : t -> (tid:int -> point:Explore.point -> int) -> unit
 (** Install a schedule-exploration policy consultation; see {!Explore}.
-    {!run}'s scheduler loop then picks threads with an exploration scan
-    instead of the default one: after every interpreted instruction the
-    hook is asked whether the thread that just ran should be parked for
-    the returned number of scheduler picks (0 = keep it schedulable),
-    letting other ready threads overtake it.  Parked threads are
-    force-released when every runnable thread is parked, so exploration
-    cannot deadlock the machine, and an overtaken thread's clock is bumped
-    forward so recorded timestamps never contradict execution order.  Each
+    {!run}'s scheduler step then picks threads with an exploration scan
+    instead of the default winner-tree pick: after every interpreted
+    instruction the hook is asked whether the thread that just ran should
+    be parked for the returned number of scheduler picks (0 = keep it
+    schedulable), letting other ready threads overtake it.  Parked
+    threads are force-released when every runnable thread is parked, so
+    exploration cannot deadlock the machine, and an overtaken thread's
+    clock is bumped forward so recorded timestamps never contradict
+    execution order.  Each
     park is announced as an [Injected "explore-park:<span>"] event.  With
     no explorer installed (the default) the machine never consults
     {!Explore}; with [Explore.hook policy] the run is still fully

@@ -1,10 +1,12 @@
 (** Index-tracked run queue: a pick-min-(clock, tid) step as a binary
     min-heap of packed integer keys.
 
-    {!Machine} no longer uses it: its scheduler picks with one scan of the
-    threads and caches the runner-up's key (docs/SIMULATOR.md §7).  The
-    module stays only for EunoBench's [sim.sched_push_pop_ns] micro and
-    its unit tests, until the next benchmark change retires both.
+    {!Machine} no longer uses it: its scheduler picks from a winner tree
+    over the threads' keys and caches the runner-up's key
+    (docs/SIMULATOR.md §7).  The module stays only for EunoBench's
+    [sim.sched_push_pop_ns] micro and its unit tests, until the next
+    benchmark change points that micro at the machine's own yield path
+    and retires both.
 
     {b Complexity:} [push] and [pop] are O(log ready-threads); peeking the
     minimum is O(1).  No allocation per operation (the backing array grows
